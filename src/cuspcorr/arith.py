@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, NumericsError
 
 IMAG_TOL = 1e-9
 
@@ -125,7 +125,8 @@ def kloosterman(a: int, b: int, c: int) -> float:
     """S(a,b;c) = sum over units d mod c of e((a d + b dbar)/c).
 
     The sum is real (d -> dbar pairs terms with their conjugates); an
-    imaginary residue above 1e-9 signals an inverse-table bug and raises.
+    imaginary residue above 1e-9 signals an inverse-table bug and raises
+    NumericsError.
     """
     if c < 1:
         raise ContractError("modulus must be >= 1")
@@ -139,7 +140,7 @@ def kloosterman(a: int, b: int, c: int) -> float:
     re = float(np.sum(np.cos(angles)))
     im = float(np.sum(np.sin(angles)))
     if abs(im) > IMAG_TOL:
-        raise AssertionError(f"S({a},{b};{c}) imaginary residue {im:.3e} exceeds {IMAG_TOL}")
+        raise NumericsError(f"S({a},{b};{c}) imaginary residue {im:.3e} exceeds {IMAG_TOL}")
     return re
 
 

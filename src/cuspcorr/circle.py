@@ -200,9 +200,9 @@ def l2_error(cover: FareyCover) -> float:
     return sweep_measures(cover)[0]
 
 
-def l2_bound_ratio(cover: FareyCover) -> float:
-    """Measured error divided by Q^2/(delta Lambda^2)."""
-    err = l2_error(cover)
+def l2_bound_ratio(cover: FareyCover, err: float) -> float:
+    """Measured error `err` (from ``l2_error`` or ``sweep_measures``) divided
+    by Q^2/(delta Lambda^2)."""
     q = cover.Q
     return err / (q * q / (float(cover.delta) * cover.Lambda ** 2))
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 contract violation (including usage errors),
-2 numerical failure (quadrature or fit non-convergence).
+2 numerical failure (non-convergence or a failed accuracy check).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _cmd_circle(args) -> None:
     row = {
         "Q": args.Q, "delta": float(cover.delta), "Lambda": cover.Lambda,
         "intervals": cover.n_intervals, "l2_error": l2,
-        "bound_ratio": l2_bound_ratio(cover),
+        "bound_ratio": l2_bound_ratio(cover, l2),
     }
     write_csv(args.out, [row],
               columns=["Q", "delta", "Lambda", "intervals", "l2_error", "bound_ratio"])

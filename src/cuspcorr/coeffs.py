@@ -4,6 +4,11 @@ Weight 12 is the discriminant form q * prod(1-q^n)^24; weight 16 is its
 product with the weight-4 Eisenstein series.  Both spaces have dimension
 one, so these q-expansions are automatically normalized Hecke eigenforms
 and the Hecke relation can be checked exactly against them.
+
+``make_eigenform`` builds the tables modulo a few primes (``qseries.mul_mod``)
+and lifts each coefficient once by CRT, with the prime count taken from
+Deligne's bound.  ``eta_power_qexp`` and ``eisenstein_qexp`` are the
+big-integer reference route it is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InsufficientCoefficients
-from .qseries import QSeries
+from .qseries import QSeries, crt_lift, crt_primes, mul_mod
 
 SUPPORTED_WEIGHTS = (12, 16)
 
@@ -130,6 +135,48 @@ class Eigenform:
 _form_cache: dict[int, Eigenform] = {}
 
 
+def table_primes(weight: int, N: int) -> tuple[int, ...]:
+    """CRT primes that determine a(1..N) of the weight-k eigenform.
+
+    Deligne's bound |a(n)| <= d(n) n^((k-1)/2) with d(n) <= 2 sqrt(n) gives
+    |a(n)| <= 2 N^(k/2), so a balanced lift is exact once the prime product
+    exceeds 4 N^(k/2).
+    """
+    return crt_primes(4 * N ** (weight // 2))
+
+
+def _eta_cubed(N: int) -> np.ndarray:
+    """prod(1-q^n)^3 to N terms by Jacobi's identity,
+    sum_k (-1)^k (2k+1) q^(k(k+1)/2)."""
+    k = np.arange(math.isqrt(2 * N) + 1, dtype=np.int64)
+    t = k * (k + 1) // 2
+    k, t = k[t < N], t[t < N]
+    c = np.zeros(N, dtype=np.int64)
+    c[t] = np.where(k % 2, -(2 * k + 1), 2 * k + 1)
+    return c
+
+
+def sigma3_sieve(N: int) -> np.ndarray:
+    """sigma_3(n) for n = 0..N-1 (entry 0 is 0) in int64, by a divisor sieve:
+    small divisors d <= sqrt(N) by strided adds, large ones by their cofactor.
+
+    sigma_3(n) < zeta(3) n^3 < 1.21 n^3 must stay below 2^63, which holds up
+    to N of about 1.97e6; larger N raise rather than wrap.
+    """
+    if N < 1:
+        raise ContractError("need N >= 1")
+    if 121 * (N - 1) ** 3 >= 100 * 2 ** 63:
+        raise ContractError(f"sigma_3 up to N={N} can overflow int64 (limit about N=1.97e6)")
+    s = np.zeros(N, dtype=np.int64)
+    r = math.isqrt(N - 1)
+    for d in range(1, r + 1):
+        s[d::d] += d ** 3
+    for j in range(1, (N - 1) // (r + 1) + 1):
+        d = np.arange(r + 1, (N - 1) // j + 1, dtype=np.int64)
+        s[d * j] += d ** 3
+    return s
+
+
 def make_eigenform(weight: int, N: int) -> Eigenform:
     """The unique normalized eigenform of weight 12 or 16, coefficients to N.
 
@@ -144,17 +191,24 @@ def make_eigenform(weight: int, N: int) -> Eigenform:
     if cached is not None and cached.length >= N:
         return cached
 
-    delta = eta_power_qexp(24, N)  # entry n-1 = coefficient of q^n
-    if weight == 12:
-        coeffs = list(delta.coefficients)
-    else:
-        e4 = eisenstein_qexp(4, N)
-        coeffs = list((delta * e4).coefficients)
-
-    a = [0] + coeffs[:N]
+    primes = table_primes(weight, N)
+    eta3 = _eta_cubed(N)
+    sigma3 = sigma3_sieve(N) if weight == 16 else None
+    residues = []
+    for p in primes:
+        r = eta3 % p
+        for _ in range(3):  # eta^3 -> eta^6 -> eta^12 -> eta^24
+            r = mul_mod(r, r, p, N)
+        if sigma3 is not None:  # times E4 = 1 + 240 sum sigma_3(n) q^n
+            e4 = sigma3 % p * 240 % p
+            e4[0] = 1
+            r = mul_mod(r, e4, p, N)
+        residues.append(r)
+    a = [0] + crt_lift(residues, primes)  # entry n = coefficient of q^n
     n = np.arange(N + 1, dtype=np.float64)
     n[0] = 1.0
     lam = np.array([float(x) for x in a], dtype=np.float64) / n ** ((weight - 1) / 2.0)
+    lam.flags.writeable = False  # shared by every caller through the cache
     form = Eigenform(weight=weight, a=a, lam=lam, canonical=True)
     _form_cache[weight] = form
     return form

@@ -19,4 +19,5 @@ class EmptyCoverError(ContractError):
 
 
 class NumericsError(RuntimeError):
-    """Quadrature, series, or least-squares machinery failed to converge."""
+    """Quadrature, series, or least-squares machinery failed to converge, or
+    a computation failed its own accuracy check."""

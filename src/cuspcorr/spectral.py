@@ -25,7 +25,7 @@ import numpy as np
 
 from .bessel import BesselKernel
 from .coeffs import make_eigenform
-from .errors import ContractError
+from .errors import ContractError, NumericsError
 from .util import fsum, parallel_map
 
 DIMENSION_ONE_WEIGHTS = (12, 16, 18, 20, 22, 26)
@@ -109,6 +109,7 @@ def _petersson_block(k: int, m_lo: int, m_hi: int, c_max: int) -> np.ndarray:
             out[i, j] = v
             out[j, i] = v
             ptr += 1
+    out.flags.writeable = False  # the cache hands this same array to every caller
     return out
 
 
@@ -150,7 +151,7 @@ def petersson_ratio_check(k: int, m: int, n: int, c_max: int = DEFAULT_CMAX) -> 
     table = _petersson_block(k, 1, max(m, n), c_max)
     p11 = table[0, 0]
     if abs(p11) < 1e-3:
-        raise AssertionError("P(1,1) unexpectedly small; pipeline broken")
+        raise NumericsError(f"P(1,1) = {p11:.3e} unexpectedly small; pipeline broken")
     pmn = table[m - 1, n - 1]
     pm1 = table[m - 1, 0]
     pn1 = table[n - 1, 0]

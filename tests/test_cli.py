@@ -55,6 +55,29 @@ def test_kloosterman_csv(tmp_path):
         assert abs(float(r["S(a,b;c)"])) <= float(r["weil_bound"]) + 1e-9
 
 
+def test_kloosterman_numerical_failure_exits_two(tmp_path, monkeypatch, capsys):
+    from cuspcorr import arith
+    monkeypatch.setattr(arith, "IMAG_TOL", -1.0)  # every imaginary residue now fails
+    assert main(["kloosterman", "--a", "1", "--b", "1", "--cmax", "5",
+                 "--out", str(tmp_path / "k.csv")]) == 2
+    assert "imaginary residue" in capsys.readouterr().err
+
+
+def test_circle_sweeps_each_cover_once(tmp_path, monkeypatch):
+    from cuspcorr import circle, cli
+    calls = []
+    sweep = circle.sweep_measures
+
+    def counted(cover):
+        calls.append(cover)
+        return sweep(cover)
+
+    monkeypatch.setattr(circle, "sweep_measures", counted)
+    monkeypatch.setattr(cli, "sweep_measures", counted)
+    assert main(["circle", "--Q", "25", "--out", str(tmp_path / "ci.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_circle_csv_golden(tmp_path):
     out = tmp_path / "ci.csv"
     assert main(["circle", "--Q", "50", "--delta-exp", "1.5", "--out", str(out)]) == 0

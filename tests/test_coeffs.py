@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspcorr import coeffs
+from cuspcorr.cli import main
 from cuspcorr.coeffs import (divisor_sieve, eisenstein_qexp, eta_power_qexp,
-                             eta_power_qexp_naive, hecke_relation_report, make_eigenform)
-from cuspcorr.errors import ContractError, InsufficientCoefficients
-from cuspcorr.qseries import QSeries
+                             eta_power_qexp_naive, hecke_relation_report, make_eigenform,
+                             sigma3_sieve, sigma_table, table_primes)
+from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
+from cuspcorr.qseries import QSeries, _school_mul, crt_lift, crt_primes, mul_mod
 
 
 def test_eta24_leading_coefficient():
@@ -120,3 +123,92 @@ def test_qseries_kronecker_matches_schoolbook():
     a = [int(x) for x in rng.integers(-10 ** 6, 10 ** 6, 700)]
     b = [int(x) for x in rng.integers(-10 ** 6, 10 ** 6, 700)]
     assert _kronecker_mul(a, b, 700) == _school_mul(a, b, 700)
+
+
+def _reference_a(weight, N):
+    """a(0..N) by the big-integer route: eta^24, times E4 for weight 16."""
+    series = eta_power_qexp(24, N)
+    if weight == 16:
+        series = series * eisenstein_qexp(4, N)
+    return [0] + list(series.coefficients)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((12, 16)), st.integers(min_value=1, max_value=3000))
+def test_modular_build_matches_big_integer_path(weight, N):
+    saved = dict(coeffs._form_cache)
+    coeffs._form_cache.clear()  # build at exactly this N, not from a larger cached table
+    try:
+        assert make_eigenform(weight, N).a == _reference_a(weight, N)
+    finally:
+        coeffs._form_cache.clear()
+        coeffs._form_cache.update(saved)
+
+
+def test_table_primes_cover_deligne_bound(form12, form16):
+    assert len(table_primes(12, 25_000)) == 6
+    assert len(table_primes(16, 25_000)) == 8
+    for f in (form12, form16):
+        N, k = f.length, f.weight
+        modulus = math.prod(table_primes(k, N))
+        assert modulus > 4 * N ** (k // 2)
+        assert modulus > 2 * max(abs(x) for x in f.a)
+
+
+def test_crt_primes_are_the_fewest():
+    primes = crt_primes(10 ** 30)
+    assert all(p < 2 ** 16 for p in primes) and len(set(primes)) == len(primes)
+    assert math.prod(primes) > 10 ** 30 >= math.prod(primes[:-1])
+    assert primes[0] == 65521  # the largest prime below 2^16
+
+
+def test_mul_mod_matches_schoolbook():
+    rng = np.random.default_rng(7)
+    p = 65521
+    a = rng.integers(p - 300, p, 600)  # residues near p: the largest FFT inputs
+    b = rng.integers(0, p, 450)
+    ref = [x % p for x in _school_mul([int(x) for x in a], [int(x) for x in b], 800)]
+    assert mul_mod(a, b, p, 800).tolist() == ref
+    sq = [x % p for x in _school_mul([int(x) for x in a], [int(x) for x in a], 700)]
+    assert mul_mod(a, a, p, 700).tolist() == sq
+
+
+def test_crt_lift_is_balanced_and_exact():
+    primes = crt_primes(2 ** 100)
+    modulus = math.prod(primes)
+    half = (modulus - 1) // 2
+    xs = [0, 1, -1, half, -half, 12345678901234567890, -(3 ** 60)]
+    residues = [np.array([x % p for x in xs], dtype=np.int64) for p in primes]
+    assert crt_lift(residues, primes) == xs
+
+
+def test_fft_rounding_error_raises(monkeypatch, tmp_path):
+    irfft = np.fft.irfft
+    r = np.arange(1, 200, dtype=np.int64)
+    exact = mul_mod(r, r, 65521, 199)
+    # an error under the 0.25 margin still rounds to the right residues
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.2)
+    assert np.array_equal(mul_mod(r, r, 65521, 199), exact)
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.3)
+    with pytest.raises(NumericsError):
+        mul_mod(r, r, 65521, 199)
+    monkeypatch.setattr(coeffs, "_form_cache", {})
+    with pytest.raises(NumericsError):
+        make_eigenform(12, 500)
+    out = tmp_path / "c.csv"
+    assert main(["coeffs", "--weight", "16", "--upto", "500", "--out", str(out)]) == 2
+
+
+def test_sigma3_sieve_matches_loop():
+    for N in (1, 2, 3, 17, 1000):
+        assert sigma3_sieve(N).tolist() == sigma_table(3, N)
+    with pytest.raises(ContractError, match="int64"):
+        sigma3_sieve(2_000_000)
+
+
+def test_cached_lambda_table_is_read_only():
+    f = make_eigenform(12, 50)
+    before = f.lam[:51].copy()
+    with pytest.raises(ValueError):
+        f.lam[2] = 0.0
+    assert np.array_equal(make_eigenform(12, 50).lam[:51], before)

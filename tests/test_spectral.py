@@ -50,6 +50,14 @@ def test_eigenvalue_recovery_value():
     assert table[1, 1] / table[0, 0] == pytest.approx(0.28125, abs=1e-10)
 
 
+def test_cached_petersson_table_is_read_only():
+    table = petersson_table(12, 3, 50)
+    before = table.copy()
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert np.array_equal(petersson_table(12, 3, 50), before)
+
+
 def test_weight14_empty_space_forces_zero():
     """Dimension-zero control: empty spectral side means P14(m,n) = 0;
     the Kloosterman series must cancel the diagonal exactly."""
