@@ -8,7 +8,6 @@ integer form before any trigonometry, so no precision is lost for large c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,16 +43,6 @@ def factorize(c: int) -> list[tuple[int, int]]:
     if c > 1:
         out.append((c, 1))
     return out
-
-
-@dataclass(frozen=True)
-class Modulus:
-    c: int
-    factorization: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, c: int) -> "Modulus":
-        return cls(c, tuple(factorize(c)))
 
 
 def euler_phi(c: int) -> int:
@@ -101,15 +90,14 @@ def ramanujan_sum_bruteforce(d: int, n: int) -> complex:
     return total
 
 
-def _unit_inverses(c: int) -> tuple[list[int], list[int]]:
-    """Units mod c and their inverses via one batched inversion.
+def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Units mod c (ascending) and their inverses, as int64 arrays, via one
+    batched inversion.
 
     Prefix products of units stay units, so a single extended-Euclid
     inversion of the total product unrolls into all the inverses.
     """
     units = [d for d in range(1, c) if math.gcd(d, c) == 1]
-    if not units:
-        return [], []
     prefix = [1] * (len(units) + 1)
     for i, u in enumerate(units):
         prefix[i + 1] = (prefix[i] * u) % c
@@ -118,7 +106,7 @@ def _unit_inverses(c: int) -> tuple[list[int], list[int]]:
     for i in range(len(units) - 1, -1, -1):
         inverses[i] = (prefix[i] * inv_all) % c
         inv_all = (inv_all * units[i]) % c
-    return units, inverses
+    return np.asarray(units, dtype=np.int64), np.asarray(inverses, dtype=np.int64)
 
 
 def kloosterman(a: int, b: int, c: int) -> float:
@@ -132,9 +120,7 @@ def kloosterman(a: int, b: int, c: int) -> float:
         raise ContractError("modulus must be >= 1")
     if c == 1:
         return 1.0
-    units, inverses = _unit_inverses(c)
-    d = np.asarray(units, dtype=np.int64)
-    dbar = np.asarray(inverses, dtype=np.int64)
+    d, dbar = _unit_inverses(c)
     residues = (a * d + b * dbar) % c
     angles = 2.0 * math.pi * residues.astype(np.float64) / c
     re = float(np.sum(np.cos(angles)))
@@ -142,11 +128,6 @@ def kloosterman(a: int, b: int, c: int) -> float:
     if abs(im) > IMAG_TOL:
         raise NumericsError(f"S({a},{b};{c}) imaginary residue {im:.3e} exceeds {IMAG_TOL}")
     return re
-
-
-def kloosterman_row(a: int, b: int, c_max: int) -> np.ndarray:
-    """S(a,b;c) for c = 1..c_max."""
-    return np.array([kloosterman(a, b, c) for c in range(1, c_max + 1)])
 
 
 def weil_bound(a: int, b: int, c: int) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from .arith import euler_phi
 from .errors import ContractError, EmptyCoverError
 from .quadrature import gl_nodes_weights
-from .util import fsum
 
 _DYADIC_BITS = 60
 
@@ -46,10 +45,6 @@ class FareyCover:
     @property
     def n_intervals(self) -> int:
         return sum(self.phi[c] for c in self.weights)
-
-    @property
-    def delta_float(self) -> float:
-        return float(self.delta)
 
     def intervals(self) -> Iterator[tuple[Fraction, float]]:
         """(center d/c, weight) over all reduced fractions in the cover."""
@@ -90,7 +85,7 @@ def build_cover(w0, Q: float, delta: float) -> FareyCover:
             phi[c] = euler_phi(c)
     if not weights:
         raise EmptyCoverError("all weights vanish on [Q, 2Q]")
-    lam = fsum(weights[c] * phi[c] for c in weights)
+    lam = math.fsum(weights[c] * phi[c] for c in weights)
     return FareyCover(Q=Q, delta=d, weights=weights, Lambda=lam, phi=phi)
 
 
@@ -161,38 +156,40 @@ def _events(cover: FareyCover) -> list[tuple[Fraction, float]]:
     return ev
 
 
-def sweep_measures(cover: FareyCover) -> tuple[float, float]:
-    """Exact sweep-line evaluation of (int |1-I~|^2, int I~) over [0,1].
+def _segments(cover: FareyCover) -> Iterator[tuple[Fraction, Fraction, float]]:
+    """The sweep line: (start, end, height) of each piece of I~ on [0,1], in order.
 
-    Positions are exact rationals; segment heights use compensated
-    accumulation of the float weights.
+    Positions are exact rationals; heights use compensated accumulation of
+    the float weights.
     """
     ev = _events(cover)
     ev.sort(key=lambda t: t[0])
     unit = cover.height_unit()
     height = _Kahan()
-    l2_terms: list[float] = []
-    mass_terms: list[float] = []
     pos = Fraction(0)
     i = 0
     n = len(ev)
     while i < n:
         p = ev[i][0]
         if p > pos:
-            seg = float(p - pos)
-            v = height.s * unit
-            l2_terms.append((1.0 - v) * (1.0 - v) * seg)
-            mass_terms.append(v * seg)
+            yield pos, p, height.s * unit
             pos = p
         while i < n and ev[i][0] == p:
             height.add(ev[i][1])
             i += 1
     if pos < 1:
-        seg = float(Fraction(1) - pos)
-        v = height.s * unit
+        yield pos, Fraction(1), height.s * unit
+
+
+def sweep_measures(cover: FareyCover) -> tuple[float, float]:
+    """Exact sweep-line evaluation of (int |1-I~|^2, int I~) over [0,1]."""
+    l2_terms: list[float] = []
+    mass_terms: list[float] = []
+    for start, end, v in _segments(cover):
+        seg = float(end - start)
         l2_terms.append((1.0 - v) * (1.0 - v) * seg)
         mass_terms.append(v * seg)
-    return fsum(l2_terms), fsum(mass_terms)
+    return math.fsum(l2_terms), math.fsum(mass_terms)
 
 
 def l2_error(cover: FareyCover) -> float:
@@ -210,27 +207,11 @@ def l2_bound_ratio(cover: FareyCover, err: float) -> float:
 def step_function(cover: FareyCover) -> tuple[np.ndarray, np.ndarray]:
     """(breakpoints, heights) of I~ on [0,1): heights[i] holds on
     [breakpoints[i], breakpoints[i+1]); float positions, for grid oracles."""
-    ev = _events(cover)
-    ev.sort(key=lambda t: t[0])
-    unit = cover.height_unit()
     positions = [0.0]
     heights = []
-    height = _Kahan()
-    pos = Fraction(0)
-    i = 0
-    n = len(ev)
-    while i < n:
-        p = ev[i][0]
-        if p > pos:
-            heights.append(height.s * unit)
-            positions.append(float(p))
-            pos = p
-        while i < n and ev[i][0] == p:
-            height.add(ev[i][1])
-            i += 1
-    if pos < 1:
-        heights.append(height.s * unit)
-        positions.append(1.0)
+    for _, end, v in _segments(cover):
+        positions.append(float(end))
+        heights.append(v)
     return np.asarray(positions), np.asarray(heights)
 
 

@@ -124,13 +124,6 @@ class Eigenform:
                 f"weight-{self.weight} table has {self.length} coefficients, need {n}"
             )
 
-    def lambda_slice(self, lo: int, hi: int) -> np.ndarray:
-        """lam(lo..hi) inclusive, as a view."""
-        self.require(hi)
-        if lo < 1:
-            raise ContractError("coefficients are indexed from n=1")
-        return self.lam[lo:hi + 1]
-
 
 _form_cache: dict[int, Eigenform] = {}
 

@@ -17,7 +17,7 @@ import numpy as np
 from .circle import FareyCover, build_cover, detect_additive
 from .coeffs import divisor_sieve, make_eigenform
 from .errors import ContractError
-from .util import fsum, parallel_map, rademacher
+from .util import parallel_map, rademacher
 from .windows import SmoothWindow, bump_window, mellin_at, plateau_window
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399235988
@@ -189,7 +189,7 @@ def divisor_main_term(cfg: ExperimentConfig, d_max: int, enforce_tail: bool = Tr
             r = mu[dg] * (phi[d] // phi[dg])
             base = log_n + 2.0 * EULER_GAMMA - 2.0 * math.log(d)
             pieces.append(np.dot(a * r, base * base) / (d * d))
-        return fsum(pieces)
+        return math.fsum(pieces)
 
     d_sum = block(1, d_max)
     tail_proxy = abs(block(d_max + 1, 2 * d_max))

@@ -117,14 +117,6 @@ class QSeries:
             return self
         return QSeries(self.coefficients[:n])
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        n = min(self.length, other.length)
-        return QSeries(tuple(self.coefficients[i] + other.coefficients[i] for i in range(n)))
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.length, other.length)
-        return QSeries(tuple(self.coefficients[i] - other.coefficients[i] for i in range(n)))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return QSeries(tuple(c * other for c in self.coefficients))

@@ -22,18 +22,23 @@ _MAX_DOUBLINGS = 9
 @lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False  # the cache hands these same arrays to every caller
+    w.flags.writeable = False
     return x, w
 
 
-def _panel_eval(f, a: float, b: float, panels: int):
+def panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes and weights of `panels` equal GL_ORDER-node panels on [a, b].
+
+    Each panel is mapped with the same float operations as
+    gl_nodes_weights, so the rule equals the concatenated per-panel rules
+    bit for bit.
+    """
     x0, w0 = _gl_nodes(GL_ORDER)
     edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    vals = np.asarray(f(nodes))
-    vals = vals.reshape(panels, GL_ORDER)
-    return np.sum(vals @ w0 * half)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi) + half * x0).ravel(), (half * w0).ravel()
 
 
 def osc_quad(f, a: float, b: float, cycles: float = 0.0, tol: float = 1e-10):
@@ -41,11 +46,16 @@ def osc_quad(f, a: float, b: float, cycles: float = 0.0, tol: float = 1e-10):
     oscillation across the interval.  Absolute tolerance."""
     if b <= a:
         return 0.0 + 0.0j if np.iscomplexobj(f(np.array([a]))) else 0.0
+
+    def integrate(panels: int):
+        x, w = panel_rule(a, b, panels)
+        return np.asarray(f(x)) @ w
+
     panels = max(1, math.ceil(cycles / 2.0) + 1)
-    prev = _panel_eval(f, a, b, panels)
+    prev = integrate(panels)
     for _ in range(_MAX_DOUBLINGS):
         panels *= 2
-        cur = _panel_eval(f, a, b, panels)
+        cur = integrate(panels)
         if abs(cur - prev) <= tol:
             return cur
         prev = cur
@@ -53,12 +63,6 @@ def osc_quad(f, a: float, b: float, cycles: float = 0.0, tol: float = 1e-10):
         f"quadrature did not reach tol={tol:g} on [{a:g},{b:g}] "
         f"(last delta {abs(cur - prev):.3e})"
     )
-
-
-def fixed_gl(f, a: float, b: float, nodes: int):
-    """Non-adaptive Gauss-Legendre with a fixed total node budget."""
-    panels = max(1, nodes // GL_ORDER)
-    return _panel_eval(f, a, b, panels)
 
 
 def gl_nodes_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

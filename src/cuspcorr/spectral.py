@@ -23,10 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import _unit_inverses
 from .bessel import BesselKernel
 from .coeffs import make_eigenform
 from .errors import ContractError, NumericsError
-from .util import fsum, parallel_map
+from .util import parallel_map
 
 DIMENSION_ONE_WEIGHTS = (12, 16, 18, 20, 22, 26)
 DEFAULT_CMAX = 1000
@@ -52,19 +53,7 @@ def _kloosterman_block(pairs: np.ndarray, c: int) -> np.ndarray:
     """S(m,n;c) for all (m,n) rows of `pairs`, sharing one unit table."""
     if c == 1:
         return np.ones(len(pairs))
-    d = np.arange(1, c, dtype=np.int64)
-    units = d[np.gcd(d, c) == 1]
-    inv = np.empty_like(units)
-    prefix = np.empty(len(units) + 1, dtype=np.int64)
-    prefix[0] = 1
-    acc = 1
-    for i, u in enumerate(units):
-        acc = (acc * int(u)) % c
-        prefix[i + 1] = acc
-    inv_acc = pow(int(prefix[-1]), -1, c)
-    for i in range(len(units) - 1, -1, -1):
-        inv[i] = (int(prefix[i]) * inv_acc) % c
-        inv_acc = (inv_acc * int(units[i])) % c
+    units, inv = _unit_inverses(c)
     table = np.cos(2.0 * math.pi * np.arange(c) / c)
     res = (pairs[:, 0:1] * units[None, :] + pairs[:, 1:2] * inv[None, :]) % c
     return table[res].sum(axis=1)
@@ -127,7 +116,7 @@ def petersson_geometric(k: int, m: int, n: int, c_max: int = DEFAULT_CMAX) -> Pe
     for ci, c in enumerate(cs):
         kl = _kloosterman_block(pairs, int(c))[0]
         terms.append(kl * jvals[ci] / c)
-    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * _i_pow_minus(k) * fsum(terms)
+    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * _i_pow_minus(k) * math.fsum(terms)
     return PeterssonValue(k=k, m=m, n=n, c_max=c_max, value=value,
                           tail_bound=petersson_tail_bound(k, m, n, c_max))
 

@@ -1,11 +1,10 @@
-"""Small shared helpers: deterministic summation, worker count, RNG."""
+"""Small shared helpers: worker count, order-preserving threaded map, RNG."""
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,17 +33,6 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
         return list(pool.map(fn, items))
-
-
-def fsum(values: Iterable[float]) -> float:
-    """Exactly-rounded float sum (order independent up to rounding)."""
-    return math.fsum(values)
-
-
-def tree_sum(values: np.ndarray):
-    """Fixed-order pairwise reduction; np.sum is pairwise and deterministic
-    for a fixed array, which is the reproducibility contract we need."""
-    return np.sum(values)
 
 
 def rademacher(n: int, seed: int) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .bessel import BesselKernel
 from .coeffs import Eigenform, make_eigenform
-from .errors import ContractError, InsufficientCoefficients
-from .quadrature import gl_nodes_weights
+from .errors import ContractError, InsufficientCoefficients, NumericsError
+from .quadrature import panel_rule
 from .windows import SmoothWindow, bump_window
 
 EPS0 = 1e-300
@@ -76,33 +76,21 @@ def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: float, tol: float) 
     """int V(x) J_nu(A sqrt(x)) dx over supp V, with A-aware paneling."""
     lo, hi = V.support
     cycles = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi) + 1.0
-    nodes = int(max(64, 16 * math.ceil(cycles)))
-    xs, ws = _panel_rule(lo, hi, nodes)
-    vals = V(xs) * kernel.grid(A * np.sqrt(xs))
-    first = np.sum(vals * ws)
+    panels = max(4, math.ceil(cycles))
+
+    def integrate(n_panels: int):
+        xs, ws = panel_rule(lo, hi, n_panels)
+        return np.sum(V(xs) * kernel.grid(A * np.sqrt(xs)) * ws)
+
+    first = integrate(panels)
     # one refinement as an error estimate
-    xs2, ws2 = _panel_rule(lo, hi, 2 * nodes)
-    vals2 = V(xs2) * kernel.grid(A * np.sqrt(xs2))
-    second = np.sum(vals2 * ws2)
+    second = integrate(2 * panels)
     if abs(second - first) > max(tol, 1e-14 * abs(second)):
-        xs3, ws3 = _panel_rule(lo, hi, 4 * nodes)
-        third = np.sum(V(xs3) * kernel.grid(A * np.sqrt(xs3)) * ws3)
+        third = integrate(4 * panels)
         if abs(third - second) > max(tol, 1e-13 * abs(third)):
-            from .errors import NumericsError
             raise NumericsError(f"dual integral not converged at A={A:g}")
         return complex(third)
     return complex(second)
-
-
-def _panel_rule(lo: float, hi: float, nodes: int):
-    panels = max(1, nodes // 16)
-    edges = np.linspace(lo, hi, panels + 1)
-    xs, ws = [], []
-    for i in range(panels):
-        x, w = gl_nodes_weights(edges[i], edges[i + 1], 16)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _dual_term(inst: VoronoiInstance, kernel: BesselKernel, lam_src: Eigenform,
@@ -169,7 +157,6 @@ def voronoi_rhs(inst: VoronoiInstance) -> tuple[complex, dict]:
                 else:
                     quiet = 0
         if n_stop is None:
-            from .errors import NumericsError
             raise NumericsError("dual sum did not decay within the hard cap")
         tail_margin = float(np.sum(np.abs(terms[n_stop:]))) * abs(prefactor)
     total = prefactor * np.sum(np.asarray(terms))

@@ -17,7 +17,6 @@ Bessel function is ever evaluated directly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bessel import BesselKernel, bessel_j, bessel_j_grid
 from .errors import ContractError, NumericsError
-from .quadrature import fixed_gl, gl_nodes_weights, osc_quad
+from .quadrature import GL_ORDER, gl_nodes_weights, osc_quad, panel_rule
 
 __all__ = [
     "SmoothWindow", "bump_window", "plateau_window", "mellin_at",
@@ -206,15 +205,7 @@ def w_star_grid(window: SmoothWindow, kappa: int, z_grid: np.ndarray, w: float,
         raise ContractError("w_star requires z >= 4|w| > 0")
     kernel = BesselKernel.of(kappa - 1)
     lo, hi = window.support
-    panels = max(1, nodes // 16)
-    ys, wqs = [], []
-    edges = np.linspace(lo, hi, panels + 1)
-    for i in range(panels):
-        yy, ww = gl_nodes_weights(edges[i], edges[i + 1], 16)
-        ys.append(yy)
-        wqs.append(ww)
-    y = np.concatenate(ys)
-    wq = np.concatenate(wqs)
+    y, wq = panel_rule(lo, hi, max(1, nodes // GL_ORDER))
     wy = window(y)
     args = 4.0 * math.pi * np.sqrt(y[None, :] * w + z_grid[:, None])
     jv = kernel.grid(args)

@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from cuspcorr.arith import kloosterman
 from cuspcorr.coeffs import make_eigenform
 from cuspcorr.errors import ContractError
-from cuspcorr.spectral import (DIMENSION_ONE_WEIGHTS, large_sieve_ratio, petersson_geometric,
-                               petersson_ratio_check, petersson_table, petersson_tail_bound,
-                               sieve_quadratic_form)
+from cuspcorr.spectral import (DIMENSION_ONE_WEIGHTS, _kloosterman_block, large_sieve_ratio,
+                               petersson_geometric, petersson_ratio_check, petersson_table,
+                               petersson_tail_bound, sieve_quadratic_form)
 from cuspcorr.bessel import bessel_j
 from cuspcorr.util import rademacher
 
 CMAX = 1000
+
+
+def test_kloosterman_block_matches_scalar_sum():
+    # m = n, gcd(m, n, c) > 1 for many c, and m or n >= c (c <= 60)
+    pairs = np.array([(1, 1), (7, 7), (2, 3), (6, 4), (12, 18), (30, 45), (60, 60),
+                      (61, 1), (3, 70), (97, 120), (0, 5)], dtype=np.int64)
+    for c in range(1, 61):
+        block = _kloosterman_block(pairs, c)
+        scalar = [kloosterman(int(m), int(n), c) for m, n in pairs]
+        assert np.allclose(block, scalar, rtol=0, atol=1e-12), c
 
 
 def test_single_term_formula():
