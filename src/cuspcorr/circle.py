@@ -25,6 +25,7 @@ from .errors import ContractError, EmptyCoverError
 from .quadrature import gl_nodes_weights
 
 _DYADIC_BITS = 60
+_ETA_NODES = 16  # Gauss-Legendre nodes of the eta average in detect_additive
 
 
 def snap_dyadic(delta: float) -> Fraction:
@@ -233,20 +234,20 @@ def _fold_twisted(seq_offset: int, seq: np.ndarray, c: int, eta: float) -> np.nd
     return folded
 
 
-def detect_additive(cover: FareyCover, f, g, n: int, eta_nodes: int = 16) -> complex:
+def detect_additive(cover: FareyCover, f, g, n: int) -> complex:
     """Circle-method approximation of sum_{m1 + m2 = 2n} f(m1) g(m2).
 
     f and g are finitely supported sequences given as (offset, values)
     pairs or mappings {m: value}.  For each Farey interval the two twisted
     sums are evaluated at d/c + eta and averaged over eta in [-delta,
-    delta] by Gauss-Legendre quadrature with `eta_nodes` nodes.
+    delta] by 16-node Gauss-Legendre quadrature.
     """
     off_f, val_f = _as_sequence(f)
     off_g, val_g = _as_sequence(g)
     if val_f.size == 0 or val_g.size == 0:
         return 0.0 + 0.0j
     delta = float(cover.delta)
-    nodes, wts = gl_nodes_weights(-delta, delta, eta_nodes)
+    nodes, wts = gl_nodes_weights(-delta, delta, _ETA_NODES)
     total = 0.0 + 0.0j
     target = 2 * n
     for c in sorted(cover.weights):

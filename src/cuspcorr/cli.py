@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -196,12 +195,9 @@ def _cmd_petersson(args) -> None:
             row["r1"] = abs(table[m - 1, n - 1] * p11 - table[m - 1, 0] * table[n - 1, 0])
             if form is not None:
                 row["r2"] = abs(table[m - 1, n - 1] / p11 - float(form.lam[m] * form.lam[n]))
-            else:
-                row["r2"] = float("nan")
+            else:  # dimension-zero weights have no eigenvalues to compare
+                row["r2"] = ""
             rows.append(row)
-    for row in rows:  # dimension-zero weights have no eigenvalues to compare
-        if math.isnan(row["r2"]):
-            row["r2"] = ""
     write_csv(args.out, rows, columns=["m", "n", "P", "r1", "r2"])
 
 

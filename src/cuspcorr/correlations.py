@@ -10,17 +10,18 @@ measurements, never assertions of an asymptotic statement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import FareyCover, build_cover, detect_additive
+from .circle import build_cover, detect_additive
 from .coeffs import divisor_sieve, make_eigenform
 from .errors import ContractError
 from .util import parallel_map, rademacher
 from .windows import SmoothWindow, bump_window, mellin_at, plateau_window
 
 EULER_GAMMA = 0.5772156649015328606065120900824024310421593359399235988
+_WINDOW = bump_window()  # the shift weight W(h/H) of every experiment
 
 
 @dataclass
@@ -37,7 +38,6 @@ class ExperimentConfig:
     weights: tuple[int, ...] = (12, 12, 12)
     seq: str = "ones"
     seed: int = 0
-    window: SmoothWindow = field(default_factory=bump_window)
 
     def __post_init__(self):
         if self.X < 3:
@@ -71,13 +71,22 @@ class ExperimentConfig:
         raise ContractError(f"unknown sequence spec {self.seq!r}")
 
 
-def _h_range(H: float, window: SmoothWindow) -> np.ndarray:
-    lo, hi = window.support
+def _h_range(H: float) -> np.ndarray:
+    lo, hi = _WINDOW.support
     h_lo = max(1, math.ceil(H * lo))
     h_hi = math.floor(H * hi)
     if h_hi < h_lo:
         raise ContractError("no integer shifts in the window support; H too small")
     return np.arange(h_lo, h_hi + 1)
+
+
+def _shifted_sum(a: np.ndarray, x: np.ndarray, y: np.ndarray, X: int, H: float,
+                 hs: np.ndarray) -> float:
+    """sum_h W(h/H) sum_{X<=n<=2X} a(n) x(n+h) y(n-h), with a[0] at n = X."""
+    per_h = np.empty(len(hs), dtype=np.float64)
+    for i, h in enumerate(hs):
+        per_h[i] = np.dot(a, x[X + h:2 * X + h + 1] * y[X - h:2 * X - h + 1])
+    return float(np.sum(per_h * _WINDOW.value(hs / H)))
 
 
 def shifted_pair_correlation(cfg: ExperimentConfig, lambda_override: dict | None = None) -> dict:
@@ -87,16 +96,12 @@ def shifted_pair_correlation(cfg: ExperimentConfig, lambda_override: dict | None
     array indexed by n (test hook).
     """
     X, H = cfg.X, cfg.H
-    hs = _h_range(H, cfg.window)
+    hs = _h_range(H)
     need = 2 * X + int(hs[-1]) + 1
     lam1 = _lam(cfg.weights[0], need, lambda_override, 1)
     lam2 = _lam(cfg.weights[1], need, lambda_override, 2)
     a = cfg.sequence()
-    wh = cfg.window.value(hs / H)
-    per_h = np.empty(len(hs), dtype=np.float64)
-    for i, h in enumerate(hs):
-        per_h[i] = np.dot(a, lam1[X + h:2 * X + h + 1] * lam2[X - h:2 * X - h + 1])
-    value = float(np.sum(per_h * wh))
+    value = _shifted_sum(a, lam1, lam2, X, H, hs)
     norm_a = float(np.sqrt(np.sum(np.abs(a) ** 2)))
     bound = (X / H) * (math.sqrt(X * H) + X / math.sqrt(H)) * norm_a
     return {
@@ -111,17 +116,12 @@ def shifted_pair_correlation(cfg: ExperimentConfig, lambda_override: dict | None
 def triple_correlation(cfg: ExperimentConfig, lambda_override: dict | None = None) -> dict:
     """sum_h W(h/H) sum_n lambda1(n-h) lambda2(n) lambda3(n+h)."""
     X, H = cfg.X, cfg.H
-    hs = _h_range(H, cfg.window)
+    hs = _h_range(H)
     need = 2 * X + int(hs[-1]) + 1
     lam1 = _lam(cfg.weights[0], need, lambda_override, 1)
     lam2 = _lam(cfg.weights[1], need, lambda_override, 2)
     lam3 = _lam(cfg.weights[2], need, lambda_override, 3)
-    wh = cfg.window.value(hs / H)
-    mid = lam2[X:2 * X + 1]
-    per_h = np.empty(len(hs), dtype=np.float64)
-    for i, h in enumerate(hs):
-        per_h[i] = np.dot(mid, lam1[X - h:2 * X - h + 1] * lam3[X + h:2 * X + h + 1])
-    value = float(np.sum(per_h * wh))
+    value = _shifted_sum(lam2[X:2 * X + 1], lam3, lam1, X, H, hs)
     bound = min(X * H, X * X / math.sqrt(H))
     return {
         "value": value,
@@ -166,16 +166,12 @@ def divisor_main_term(cfg: ExperimentConfig, d_max: int, enforce_tail: bool = Tr
     if d_max < 1:
         raise ContractError("need d_max >= 1")
     X, H = cfg.X, cfg.H
-    hs = _h_range(H, cfg.window)
+    hs = _h_range(H)
     tau = divisor_sieve(2, 2 * X + int(hs[-1]) + 1).astype(np.float64)
     a = cfg.sequence()
-    wh = cfg.window.value(hs / H)
-    per_h = np.empty(len(hs))
-    for i, h in enumerate(hs):
-        per_h[i] = np.dot(a, tau[X + h:2 * X + h + 1] * tau[X - h:2 * X - h + 1])
-    exact_lhs = float(np.sum(per_h * wh))
+    exact_lhs = _shifted_sum(a, tau, tau, X, H, hs)
 
-    w_hat_1 = float(mellin_at(cfg.window, 1.0).real)
+    w_hat_1 = float(mellin_at(_WINDOW, 1.0).real)
     n_arr = np.arange(X, 2 * X + 1, dtype=np.int64)
     two_n = 2 * n_arr
     log_n = np.log(n_arr.astype(np.float64))
@@ -231,36 +227,33 @@ def wilton_sup(form, x: int, grid_factor: int = 4) -> dict:
 
 
 def gamma_star_norm(form1, form2, M1: int, M2: int, z: float,
-                    u1: float = 0.0, u2: float = 0.0, u3: float = 0.0,
-                    w2: SmoothWindow | None = None, Z: float | None = None,
-                    signs: tuple[int, int] = (1, 1)) -> dict:
+                    u1: float = 0.0, u2: float = 0.0, u3: float = 0.0) -> dict:
     """l2 norm of the twisted additive convolution on b ~ M1 + M2.
 
-    gamma*(b) multiplies the convolution of the two twisted coefficient
-    blocks by a smooth plateau in sqrt(2b) z / Z and unimodular factors;
-    the measured norm is compared against (sqrt(M2) + z M2)^2 M1.
+    gamma*(b) multiplies the convolution of the two coefficient blocks,
+    each twisted by exp(i z sqrt(m)), by unimodular factors and a smooth
+    plateau in sqrt(2b) z / Z (equal to 1 on [1/20, 20]), where
+    Z = sqrt(2 (M1 + M2)) z; the measured norm is compared against
+    (sqrt(M2) + z M2)^2 M1.
     """
     if M1 < 1 or M2 < 1:
         raise ContractError("need M1, M2 >= 1")
     form1.require(2 * M1)
     form2.require(2 * M2)
-    if w2 is None:
-        w2 = plateau_window(1.0 / 100.0, 1.0 / 20.0, 20.0, 100.0)
-    if Z is None:
-        Z = math.sqrt(2.0 * (M1 + M2)) * z if z > 0 else 1.0
+    Z = math.sqrt(2.0 * (M1 + M2)) * z if z > 0 else 1.0
 
-    def block(form, M, u, sign):
+    def block(form, M, u):
         m = np.arange(M, 2 * M + 1, dtype=np.float64)
         lam = form.lam[M:2 * M + 1]
-        return lam * (m / M) ** (-0.25 + 1j * u) * np.exp(1j * sign * z * np.sqrt(m))
+        return lam * (m / M) ** (-0.25 + 1j * u) * np.exp(1j * z * np.sqrt(m))
 
-    f = block(form1, M1, u1, signs[0])
-    g = block(form2, M2, u2, signs[1])
+    f = block(form1, M1, u1)
+    g = block(form2, M2, u2)
     conv = np.convolve(f, g)  # b = M1+M2 .. 2(M1+M2)
     b = np.arange(M1 + M2, 2 * (M1 + M2) + 1, dtype=np.float64)
     if z > 0:
         arg = np.sqrt(2.0 * b) * z / Z
-        w2_vals = w2.value(arg)
+        w2_vals = plateau_window(1.0 / 100.0, 1.0 / 20.0, 20.0, 100.0).value(arg)
         phase = arg ** (-2j * u3)
     else:
         w2_vals = np.ones_like(b)
@@ -288,23 +281,20 @@ def support_tracking_window(H: float, Hp: float) -> SmoothWindow:
 
 
 def pipeline_fidelity(n: int, H: float, Hp: float | None = None, Q: float = 300.0,
-                      delta: float | None = None, weights: tuple[int, int] = (12, 12),
-                      window: SmoothWindow | None = None, cover: FareyCover | None = None) -> dict:
+                      delta: float | None = None, weights: tuple[int, int] = (12, 12)) -> dict:
     """Direct shifted sum at a single center against its circle-method
     reconstruction from the two localized coefficient sequences."""
-    if window is None:
-        window = bump_window()
     if Hp is None:
         Hp = H
     if delta is None:
         delta = float(Q) ** -1.5
     if Q < 10:
         raise ContractError("need Q >= 10")
-    hs = _h_range(H, window)
+    hs = _h_range(H)
     h_hi = int(hs[-1])
     lam1 = make_eigenform(weights[0], n + 2 * h_hi + 4).lam
     lam2 = make_eigenform(weights[1], n).lam
-    wh = window.value(hs / H)
+    wh = _WINDOW.value(hs / H)
     e_direct = float(np.sum(lam1[n + hs] * lam2[n - hs] * wh))
 
     vtrack = support_tracking_window(H, Hp)
@@ -314,8 +304,7 @@ def pipeline_fidelity(n: int, H: float, Hp: float | None = None, Q: float = 300.
     g_hi = n - max(1, math.ceil(0.45 * H))
     m2 = np.arange(g_lo, g_hi + 1)
     g = (g_lo, lam2[m2] * vtrack.value((n - m2) / Hp))
-    if cover is None:
-        cover = build_cover(bump_window(), Q, delta)
+    cover = build_cover(_WINDOW, Q, delta)
     e_rec = detect_additive(cover, f, g, n)
     abs_err = abs(e_direct - e_rec)
     s1 = float(np.sum(np.abs(f[1])))

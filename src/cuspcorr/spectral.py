@@ -69,35 +69,53 @@ def petersson_tail_bound(k: int, m: int, n: int, c_max: int) -> float:
     return 2.0 * math.pi * math.exp(logs + log_tail)
 
 
-@lru_cache(maxsize=64)
-def _petersson_block(k: int, m_lo: int, m_hi: int, c_max: int) -> np.ndarray:
-    """P_k(m,n) for all m,n in [m_lo, m_hi], exploiting symmetry in (m,n)."""
+def _upper_pairs(m_lo: int, m_hi: int) -> np.ndarray:
+    """Rows (m, n) with m_lo <= m <= n <= m_hi, in row-major upper-triangle order."""
     ms = np.arange(m_lo, m_hi + 1)
-    pair_list = [(m, n) for i, m in enumerate(ms) for n in ms[i:]]
-    pairs = np.asarray(pair_list, dtype=np.int64)
+    i, j = np.triu_indices(len(ms))
+    return np.column_stack((ms[i], ms[j]))
+
+
+def _kloosterman_rows(pairs: np.ndarray, c_max: int) -> np.ndarray:
+    """S(m,n;c) with one row per row of `pairs` and one column per c <= c_max."""
+    kl = np.column_stack([_kloosterman_block(pairs, c) for c in range(1, c_max + 1)])
+    kl.flags.writeable = False
+    return kl
+
+
+@lru_cache(maxsize=4)
+def _kloosterman_table(m_lo: int, m_hi: int, c_max: int) -> np.ndarray:
+    """S(m,n;c) on the upper triangle of [m_lo, m_hi]^2.  S does not depend
+    on the weight, so every weight's block reads this one read-only table."""
+    return _kloosterman_rows(_upper_pairs(m_lo, m_hi), c_max)
+
+
+def _geometric_sums(k: int, pairs: np.ndarray, kl: np.ndarray) -> np.ndarray:
+    """sum_{c <= c_max} S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c) for each row (m, n)
+    of `pairs`, with S read from `kl` (columns c = 1..c_max)."""
     kernel = BesselKernel.of(k - 1)
     sqrt_mn = np.sqrt(pairs[:, 0] * pairs[:, 1]).astype(np.float64)
-
-    cs = np.arange(1, c_max + 1)
+    cs = np.arange(1, kl.shape[1] + 1)
     rows = parallel_map(lambda s: kernel.grid(4.0 * math.pi * s / cs), list(sqrt_mn))
     jcache = np.vstack(rows)
     sums = np.zeros(len(pairs))
     for ci, c in enumerate(cs):
-        kl = _kloosterman_block(pairs, int(c))
-        sums += kl * jcache[:, ci] / c
+        sums += kl[:, ci] * jcache[:, ci] / c
+    return sums
 
-    sign = _i_pow_minus(k)
+
+@lru_cache(maxsize=64)
+def _petersson_block(k: int, m_lo: int, m_hi: int, c_max: int) -> np.ndarray:
+    """P_k(m,n) for all m,n in [m_lo, m_hi], exploiting symmetry in (m,n)."""
+    pairs = _upper_pairs(m_lo, m_hi)
+    i, j = (pairs - m_lo).T
+    values = 2.0 * math.pi * _i_pow_minus(k) * _geometric_sums(
+        k, pairs, _kloosterman_table(m_lo, m_hi, c_max))
+    values[i == j] += 1.0
     size = m_hi - m_lo + 1
     out = np.zeros((size, size))
-    ptr = 0
-    for i in range(size):
-        for j in range(i, size):
-            v = 2.0 * math.pi * sign * sums[ptr]
-            if i == j:
-                v += 1.0
-            out[i, j] = v
-            out[j, i] = v
-            ptr += 1
+    out[i, j] = values
+    out[j, i] = values
     out.flags.writeable = False  # the cache hands this same array to every caller
     return out
 
@@ -108,15 +126,9 @@ def petersson_geometric(k: int, m: int, n: int, c_max: int = DEFAULT_CMAX) -> Pe
         raise ContractError("need even weight k >= 12")
     if m < 1 or n < 1 or c_max < 1:
         raise ContractError("need m, n, c_max >= 1")
-    kernel = BesselKernel.of(k - 1)
-    cs = np.arange(1, c_max + 1)
-    jvals = kernel.grid(4.0 * math.pi * math.sqrt(m * n) / cs)
-    pairs = np.asarray([(m, n)], dtype=np.int64)
-    terms = []
-    for ci, c in enumerate(cs):
-        kl = _kloosterman_block(pairs, int(c))[0]
-        terms.append(kl * jvals[ci] / c)
-    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * _i_pow_minus(k) * math.fsum(terms)
+    pairs = np.array([(m, n)], dtype=np.int64)
+    total = float(_geometric_sums(k, pairs, _kloosterman_rows(pairs, c_max))[0])
+    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * _i_pow_minus(k) * total
     return PeterssonValue(k=k, m=m, n=n, c_max=c_max, value=value,
                           tail_bound=petersson_tail_bound(k, m, n, c_max))
 

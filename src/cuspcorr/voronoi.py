@@ -24,6 +24,7 @@ from .windows import SmoothWindow, bump_window
 EPS0 = 1e-300
 _TERM_FLOOR = 1e-13   # dual terms below floor * scale are treated as tail
 _CONSECUTIVE = 12     # how many consecutive tiny terms end the scan
+_QUAD_TOL = 1e-11     # absolute tolerance of each dual integral
 
 
 @dataclass
@@ -34,7 +35,6 @@ class VoronoiInstance:
     N: float
     V: SmoothWindow = field(default_factory=bump_window)
     rhs_truncation: int | None = None
-    quad_tol: float = 1e-11
 
     def __post_init__(self):
         if self.c < 1:
@@ -96,7 +96,7 @@ def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: float, tol: float) 
 def _dual_term(inst: VoronoiInstance, kernel: BesselKernel, lam_src: Eigenform,
                table: np.ndarray, bbar: int, n: int) -> complex:
     A = 4.0 * math.pi * math.sqrt(n * inst.N) / inst.c
-    integral = _dual_integral(kernel, inst.V, A, inst.quad_tol)
+    integral = _dual_integral(kernel, inst.V, A, _QUAD_TOL)
     phase = np.conj(table[(bbar % inst.c) * n % inst.c])
     return complex(lam_src.lam[n] * phase * integral)
 

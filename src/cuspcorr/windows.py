@@ -330,25 +330,20 @@ def kuznetsov_transform_dot(phi: TransformKernel, k: int, tol: float = 1e-10) ->
     return 4.0 * (1j ** k) * complex(val)
 
 
-def dot_decay_slope(phi: TransformKernel, k_lo: int | None = None,
-                    k_hi: int | None = None, npts: int = 12,
-                    floor: float = 1e-250) -> dict:
-    """Fitted slope of log|dot(k)| against log(1 + k/Z) on [k_lo, k_hi].
+def dot_decay_slope(phi: TransformKernel) -> dict:
+    """Fitted slope of log|dot(k)| against log(1 + k/Z) at 12 geometric
+    points of k in [2 ceil(Z), 20 ceil(Z)], rounded to even k >= 2.
 
-    Values are clipped at `floor` before taking logs (the transform
+    Values are clipped at 1e-250 before taking logs (the transform
     underflows to exact zero once k is a few multiples of Z); the clip
     only makes the fitted slope less negative.
     """
     Z = phi.Z
-    if k_lo is None:
-        k_lo = 2 * int(math.ceil(Z))
-    if k_hi is None:
-        k_hi = 20 * int(math.ceil(Z))
-    ks = sorted({2 * int(round(k / 2)) for k in np.geomspace(max(k_lo, 2), k_hi, npts)})
-    ks = [k for k in ks if k >= 2]
+    ceil_z = int(math.ceil(Z))  # >= 1, since TransformKernel requires Z > 0
+    ks = sorted({2 * int(round(k / 2)) for k in np.geomspace(2 * ceil_z, 20 * ceil_z, 12)})
     mags = []
     for k in ks:
-        mags.append(max(abs(kuznetsov_transform_dot(phi, k)), floor))
+        mags.append(max(abs(kuznetsov_transform_dot(phi, k)), 1e-250))
     lx = np.log1p(np.array(ks, dtype=float) / Z)
     ly = np.log(np.array(mags))
     slope = float(np.polyfit(lx, ly, 1)[0])

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +82,25 @@ def test_l2_error_decreases_with_Q():
     for Q, e in zip((25, 50, 100, 200), errs):
         cov = build_cover(W0, Q, Q ** -1.5)
         assert e <= 10 * Q * Q / (float(cov.delta) * cov.Lambda ** 2)
+
+
+def test_step_function_reproduces_sweep_measures():
+    for Q, expo in ((20, 1.4), (50, 1.5), (37, 1.9)):
+        cov = build_cover(W0, Q, Q ** -expo)
+        pos, hts = step_function(cov)
+        widths = np.diff(pos)
+        l2, mass = sweep_measures(cov)
+        assert pos[0] == 0.0 and pos[-1] == 1.0 and len(hts) == len(widths)
+        assert math.fsum(hts * widths) == pytest.approx(mass, abs=1e-12)
+        assert math.fsum((1.0 - hts) ** 2 * widths) == pytest.approx(l2, abs=1e-12)
+
+
+def test_l2_bound_ratio_divides_by_envelope():
+    Q = 50
+    cov = build_cover(W0, Q, Q ** -1.5)
+    err = l2_error(cov)
+    envelope = Q * Q / (float(cov.delta) * cov.Lambda ** 2)
+    assert l2_bound_ratio(cov, err) == pytest.approx(err / envelope, rel=1e-15)
 
 
 def test_step_function_consistent_with_exact_eval():

@@ -1,7 +1,5 @@
 import json
-import math
 
-import numpy as np
 import pytest
 
 from cuspcorr.cli import main, parse_and_dispatch

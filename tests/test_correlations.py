@@ -50,7 +50,7 @@ def test_pair_zero_sequence():
 def test_pair_against_reordered_loop(form12):
     cfg = ExperimentConfig(X=20, H=6.0, weights=(12, 12), seq="ones")
     r = shifted_pair_correlation(cfg)
-    W = cfg.window
+    W = bump_window()
     acc = math.fsum(
         float(W.value(h / 6.0)) * float(form12.lam[n + h]) * float(form12.lam[n - h])
         for n in range(20, 41) for h in range(6, 13)
@@ -61,7 +61,7 @@ def test_pair_against_reordered_loop(form12):
 def test_triple_against_reordered_loop(form12):
     cfg = ExperimentConfig(X=100, H=20.0)
     r = triple_correlation(cfg)
-    W = cfg.window
+    W = bump_window()
     acc = math.fsum(
         float(W.value(h / 20.0)) * float(form12.lam[n - h] * form12.lam[n] * form12.lam[n + h])
         for h in range(20, 41) for n in range(100, 201)
@@ -74,7 +74,7 @@ def test_triple_symmetry_under_h_reflection(form12, form16):
     # is the change of variable h -> -h and must reproduce the value exactly
     cfg = ExperimentConfig(X=80, H=15.0, weights=(12, 12, 16))
     value = triple_correlation(cfg)["value"]
-    W = cfg.window
+    W = bump_window()
     reflected = math.fsum(
         float(W.value(-h / 15.0)) * float(form16.lam[n - h]) * float(form12.lam[n])
         * float(form12.lam[n + h])
@@ -105,7 +105,7 @@ def test_divisor_main_term_d1_piece():
     cfg = ExperimentConfig(X=200, H=20.0, seq="ones")
     r = divisor_main_term(cfg, 1, enforce_tail=False)
     from cuspcorr.windows import mellin_at
-    w1 = float(mellin_at(cfg.window, 1.0).real)
+    w1 = float(mellin_at(bump_window(), 1.0).real)
     n = np.arange(200, 401, dtype=float)
     expected = 20.0 * w1 * float(np.sum((np.log(n) + 2 * EULER_GAMMA) ** 2))
     assert r["main_term"] == pytest.approx(expected, rel=1e-12)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cuspcorr import spectral
 from cuspcorr.arith import kloosterman
-from cuspcorr.coeffs import make_eigenform
 from cuspcorr.errors import ContractError
-from cuspcorr.spectral import (DIMENSION_ONE_WEIGHTS, _kloosterman_block, large_sieve_ratio,
-                               petersson_geometric, petersson_ratio_check, petersson_table,
-                               petersson_tail_bound, sieve_quadratic_form)
+from cuspcorr.spectral import (_kloosterman_block, large_sieve_ratio, petersson_geometric,
+                               petersson_ratio_check, petersson_table, petersson_tail_bound,
+                               sieve_quadratic_form)
 from cuspcorr.bessel import bessel_j
 from cuspcorr.util import rademacher
 
@@ -23,6 +23,51 @@ def test_kloosterman_block_matches_scalar_sum():
         block = _kloosterman_block(pairs, c)
         scalar = [kloosterman(int(m), int(n), c) for m, n in pairs]
         assert np.allclose(block, scalar, rtol=0, atol=1e-12), c
+
+
+@pytest.mark.parametrize("k", (12, 14, 16, 18))
+def test_petersson_table_matches_direct_sum(k):
+    # the scalar Kloosterman sum and the scalar Bessel routine as the oracle
+    table = petersson_table(k, 4, 60)
+    sign = 1.0 if k % 4 == 0 else -1.0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            direct = math.fsum(kloosterman(m, n, c) / c
+                               * bessel_j(k - 1, 4 * math.pi * math.sqrt(m * n) / c)
+                               for c in range(1, 61))
+            expected = (1.0 if m == n else 0.0) + 2 * math.pi * sign * direct
+            assert table[m - 1, n - 1] == pytest.approx(expected, abs=1e-12), (m, n)
+
+
+def test_kloosterman_table_shared_across_weights(monkeypatch):
+    # S(m,n;c) does not depend on the weight: one block per c for all weights
+    calls = []
+
+    def counting(pairs, c):
+        calls.append(c)
+        return _kloosterman_block(pairs, c)
+
+    spectral._petersson_block.cache_clear()
+    spectral._kloosterman_table.cache_clear()
+    monkeypatch.setattr(spectral, "_kloosterman_block", counting)
+    sieve_quadratic_form(18, 4, 60)  # weights 12, 16 and 18
+    assert sorted(calls) == list(range(1, 61))
+
+
+def test_shared_kloosterman_table_is_read_only():
+    kl = spectral._kloosterman_table(1, 3, 20)
+    before = kl.copy()
+    with pytest.raises(ValueError):
+        kl[0, 0] = 0.0
+    assert np.array_equal(spectral._kloosterman_table(1, 3, 20), before)
+
+
+def test_geometric_matches_table_entry():
+    for k in (12, 14, 16, 18):
+        for m, n in ((1, 1), (2, 3), (3, 2), (5, 5), (2, 6)):
+            table = petersson_table(k, max(m, n), 200)
+            value = petersson_geometric(k, m, n, 200).value
+            assert abs(value - table[m - 1, n - 1]) < 1e-14, (k, m, n)
 
 
 def test_single_term_formula():

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from cuspcorr.util import parallel_map, rademacher, worker_count
 
