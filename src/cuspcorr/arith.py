@@ -1,8 +1,10 @@
 """Exact arithmetic exponential sums and multiplicative helpers.
 
 Kloosterman sums are evaluated by direct enumeration over units mod c with
-a batch-inverted unit table; the phase (a*d + b*dbar)/c is reduced mod c in
-integer form before any trigonometry, so no precision is lost for large c.
+a vectorised table of unit inverses; the phase (a*d + b*dbar)/c is reduced
+mod c in integer form before any trigonometry, so no precision is lost for
+large c.  Weighted sums of Ramanujan sums over a range of arguments are
+evaluated exactly in the weights' arithmetic by one Moebius inversion.
 """
 
 from __future__ import annotations
@@ -79,34 +81,60 @@ def ramanujan_sum(d: int, n: int) -> int:
     return total
 
 
-def ramanujan_sum_bruteforce(d: int, n: int) -> complex:
-    """Direct exponential sum; oracle for the closed form."""
-    if d < 1:
-        raise ContractError("modulus must be >= 1")
-    total = 0.0 + 0.0j
-    for a in range(1, d + 1):
-        if math.gcd(a, d) == 1:
-            total += np.exp(2j * math.pi * ((a * n) % d) / d)
-    return total
-
-
 def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Units mod c (ascending) and their inverses, as int64 arrays, via one
-    batched inversion.
+    """Units mod c (ascending) and their inverses, as int64 arrays.
 
-    Prefix products of units stay units, so a single extended-Euclid
-    inversion of the total product unrolls into all the inverses.
+    Every unit satisfies u^phi(c) = 1, so u^(phi(c)-1) is its inverse; the
+    power is taken by square-and-multiply over the whole unit array at
+    once (exact in int64 while c^2 < 2^63).
     """
-    units = [d for d in range(1, c) if math.gcd(d, c) == 1]
-    prefix = [1] * (len(units) + 1)
-    for i, u in enumerate(units):
-        prefix[i + 1] = (prefix[i] * u) % c
-    inv_all = pow(prefix[-1], -1, c)
-    inverses = [0] * len(units)
-    for i in range(len(units) - 1, -1, -1):
-        inverses[i] = (prefix[i] * inv_all) % c
-        inv_all = (inv_all * units[i]) % c
-    return np.asarray(units, dtype=np.int64), np.asarray(inverses, dtype=np.int64)
+    dd = np.arange(1, c, dtype=np.int64)
+    units = dd[np.gcd(dd, c) == 1]
+    inv, base = np.ones_like(units), units
+    e = units.size - 1
+    while e > 0:
+        if e & 1:
+            inv = inv * base % c
+        base = base * base % c
+        e >>= 1
+    return units, inv
+
+
+def mu_phi_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moebius mu(d) and Euler phi(d) for 0 <= d <= n, as int64 arrays
+    (the entries at d = 0 are placeholders)."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, n + 1):
+        if phi[p] == p:  # no smaller prime has reduced it, so p is prime
+            mu[p::p] *= -1
+            mu[p * p::p * p] = 0
+            phi[p::p] -= phi[p::p] // p
+    return mu, phi
+
+
+def ramanujan_weighted(v, ms) -> np.ndarray:
+    """sum_{1 <= d <= D} v[d] r_d(m) for every m in `ms`, with D = len(v) - 1.
+
+    v[0] is ignored.  Since r_d(m) = sum_{e | (d,m)} e mu(d/e), the sum
+    equals sum_{e | m} e B(e) with B(e) = sum_j v[e j] mu(j): the weights
+    are Moebius-inverted once and e B(e) is scattered onto the multiples of
+    e in the range of |m| (every e divides 0, so m = 0 gives
+    sum_d v[d] phi(d)).  Cost O((D + span) log D), with no (#d x #m) table.
+    """
+    v = np.asarray(v)
+    ms = np.abs(np.asarray(ms, dtype=np.int64))
+    D = v.size - 1
+    mu = mu_phi_sieve(D)[0].tolist()
+    B = np.zeros(D + 1, dtype=np.result_type(v.dtype, np.int64))
+    for j in range(1, D + 1):
+        if mu[j]:
+            B[1:D // j + 1] += mu[j] * v[j::j]
+    lo = int(ms.min())
+    out = np.zeros(int(ms.max()) - lo + 1, dtype=B.dtype)
+    for e in range(1, D + 1):
+        out[-lo % e::e] += e * B[e]
+    return out[ms - lo]
 
 
 def kloosterman(a: int, b: int, c: int) -> float:

@@ -20,12 +20,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import euler_phi
+from .arith import mu_phi_sieve, ramanujan_weighted
 from .errors import ContractError, EmptyCoverError
-from .quadrature import gl_nodes_weights
 
 _DYADIC_BITS = 60
-_ETA_NODES = 16  # Gauss-Legendre nodes of the eta average in detect_additive
 
 
 def snap_dyadic(delta: float) -> Fraction:
@@ -77,13 +75,14 @@ def build_cover(w0, Q: float, delta: float) -> FareyCover:
         raise ContractError("delta must lie in [Q^-2, Q^-1]")
     weights: dict[int, float] = {}
     phi: dict[int, int] = {}
+    phis = mu_phi_sieve(math.floor(2 * Q))[1]
     for c in range(math.ceil(Q), math.floor(2 * Q) + 1):
         w = float(w0(c / Q))
         if w < 0 or w > 1 + 1e-12:
             raise ContractError("weight values must lie in [0,1]")
         if w > 0.0:
             weights[c] = w
-            phi[c] = euler_phi(c)
+            phi[c] = int(phis[c])
     if not weights:
         raise EmptyCoverError("all weights vanish on [Q, 2Q]")
     lam = math.fsum(weights[c] * phi[c] for c in weights)
@@ -225,45 +224,29 @@ def itilde_eval_many(cover: FareyCover, alphas: np.ndarray) -> np.ndarray:
     return hts[idx]
 
 
-def _fold_twisted(seq_offset: int, seq: np.ndarray, c: int, eta: float) -> np.ndarray:
-    """Residue-class fold of f(m) e(eta m) mod c."""
-    m = seq_offset + np.arange(seq.size)
-    phase = np.exp(2j * math.pi * eta * m)
-    folded = np.zeros(c, dtype=np.complex128)
-    np.add.at(folded, m % c, seq * phase)
-    return folded
-
-
 def detect_additive(cover: FareyCover, f, g, n: int) -> complex:
     """Circle-method approximation of sum_{m1 + m2 = 2n} f(m1) g(m2).
 
     f and g are finitely supported sequences given as (offset, values)
-    pairs or mappings {m: value}.  For each Farey interval the two twisted
-    sums are evaluated at d/c + eta and averaged over eta in [-delta,
-    delta] by 16-node Gauss-Legendre quadrature.
+    pairs or mappings {m: value}.  The detector integrates F(a) G(a)
+    e(-2n a) over every Farey interval d/c + [-delta, delta], with F, G
+    the twisted sums of f, g, weighted by w(c) and normalized by
+    2 delta Lambda.  It is evaluated in closed form as the Ramanujan-sum
+    expansion sum_k C(k) sinc(2 k delta) Lambda^-1 sum_c w(c) r_c(k), with
+    C(k) = sum_{m1 + m2 = 2n + k} f(m1) g(m2): summing e(k d/c) over the
+    units d mod c gives r_c(k), and the eta-average of e(k eta) over
+    [-delta, delta] is exactly sinc(2 k delta).
     """
     off_f, val_f = _as_sequence(f)
     off_g, val_g = _as_sequence(g)
     if val_f.size == 0 or val_g.size == 0:
         return 0.0 + 0.0j
-    delta = float(cover.delta)
-    nodes, wts = gl_nodes_weights(-delta, delta, _ETA_NODES)
-    total = 0.0 + 0.0j
-    target = 2 * n
-    for c in sorted(cover.weights):
-        w = cover.weights[c]
-        dd = np.arange(c)
-        units = np.gcd(dd, c) == 1
-        # e(-2n d / c) over d
-        root = np.exp(-2j * math.pi * ((target % c) * dd % c) / c)
-        acc = 0.0 + 0.0j
-        for eta, wq in zip(nodes, wts):
-            ff = np.fft.ifft(_fold_twisted(off_f, val_f, c, eta)) * c  # sum_r f_r e(rd/c)
-            gg = np.fft.ifft(_fold_twisted(off_g, val_g, c, eta)) * c
-            inner = np.sum((ff * gg * root)[units])
-            acc += wq * inner * np.exp(-2j * math.pi * target * eta)
-        total += w * acc
-    return complex(total / (2.0 * delta * cover.Lambda))
+    conv = np.convolve(val_f, val_g)
+    ks = off_f + off_g - 2 * n + np.arange(conv.size)
+    w = np.zeros(max(cover.weights) + 1)
+    w[list(cover.weights)] = list(cover.weights.values())
+    detect = np.sinc(2.0 * float(cover.delta) * ks) * ramanujan_weighted(w, ks)
+    return complex(np.dot(conv, detect) / cover.Lambda)
 
 
 def _as_sequence(seq) -> tuple[int, np.ndarray]:

@@ -1,0 +1,123 @@
+"""Slow direct implementations kept as oracles for the fast paths in src.
+
+The first three were the production paths of the functions they check:
+- `detect_additive_fft`: the additive detector by residue-class folds, one
+  FFT per modulus, and a 16-node Gauss-Legendre eta-average;
+- `divisor_blocks_loop`: the divisor main term and tail proxy by an
+  O(X d_max) gcd loop over d;
+- `unit_inverses_prefix`: the unit inverses mod c by prefix products and a
+  single extended-Euclid inversion;
+- `ramanujan_sum_bruteforce`: r_d(n) as the exponential sum it is defined by.
+"""
+
+import math
+
+import numpy as np
+
+from cuspcorr.arith import euler_phi, moebius
+from cuspcorr.circle import _as_sequence
+from cuspcorr.correlations import _WINDOW, EULER_GAMMA
+from cuspcorr.errors import ContractError
+from cuspcorr.quadrature import gl_nodes_weights
+from cuspcorr.windows import mellin_at
+
+_ETA_NODES = 16  # Gauss-Legendre nodes of the eta average in detect_additive_fft
+
+
+def _fold_twisted(seq_offset: int, seq: np.ndarray, c: int, eta: float) -> np.ndarray:
+    """Residue-class fold of f(m) e(eta m) mod c."""
+    m = seq_offset + np.arange(seq.size)
+    phase = np.exp(2j * math.pi * eta * m)
+    folded = np.zeros(c, dtype=np.complex128)
+    np.add.at(folded, m % c, seq * phase)
+    return folded
+
+
+def detect_additive_fft(cover, f, g, n: int) -> complex:
+    """Circle-method approximation of sum_{m1 + m2 = 2n} f(m1) g(m2).
+
+    f and g are finitely supported sequences given as (offset, values)
+    pairs or mappings {m: value}.  For each Farey interval the two twisted
+    sums are evaluated at d/c + eta and averaged over eta in [-delta,
+    delta] by 16-node Gauss-Legendre quadrature.
+    """
+    off_f, val_f = _as_sequence(f)
+    off_g, val_g = _as_sequence(g)
+    if val_f.size == 0 or val_g.size == 0:
+        return 0.0 + 0.0j
+    delta = float(cover.delta)
+    nodes, wts = gl_nodes_weights(-delta, delta, _ETA_NODES)
+    total = 0.0 + 0.0j
+    target = 2 * n
+    for c in sorted(cover.weights):
+        w = cover.weights[c]
+        dd = np.arange(c)
+        units = np.gcd(dd, c) == 1
+        # e(-2n d / c) over d
+        root = np.exp(-2j * math.pi * ((target % c) * dd % c) / c)
+        acc = 0.0 + 0.0j
+        for eta, wq in zip(nodes, wts):
+            ff = np.fft.ifft(_fold_twisted(off_f, val_f, c, eta)) * c  # sum_r f_r e(rd/c)
+            gg = np.fft.ifft(_fold_twisted(off_g, val_g, c, eta)) * c
+            inner = np.sum((ff * gg * root)[units])
+            acc += wq * inner * np.exp(-2j * math.pi * target * eta)
+        total += w * acc
+    return complex(total / (2.0 * delta * cover.Lambda))
+
+
+def divisor_blocks_loop(cfg, d_max: int) -> tuple[float, float]:
+    """(main_term, tail_proxy) of `divisor_main_term`, one gcd pass per d,
+    with r_d(n) = mu(d/g) phi(d)/phi(d/g), g = gcd(d, n), and mu, phi
+    taken from the scalar trial-division functions."""
+    X, H = cfg.X, cfg.H
+    a = cfg.sequence()
+    w_hat_1 = float(mellin_at(_WINDOW, 1.0).real)
+    n_arr = np.arange(X, 2 * X + 1, dtype=np.int64)
+    two_n = 2 * n_arr
+    log_n = np.log(n_arr.astype(np.float64))
+    mu = np.array([0] + [moebius(d) for d in range(1, 2 * d_max + 1)], dtype=np.int64)
+    phi = np.array([0] + [euler_phi(d) for d in range(1, 2 * d_max + 1)], dtype=np.int64)
+
+    def block(d_lo: int, d_hi: int) -> float:
+        pieces = []
+        for d in range(d_lo, d_hi + 1):
+            g = np.gcd(np.int64(d), two_n)
+            dg = d // g
+            r = mu[dg] * (phi[d] // phi[dg])
+            base = log_n + 2.0 * EULER_GAMMA - 2.0 * math.log(d)
+            pieces.append(np.dot(a * r, base * base) / (d * d))
+        return math.fsum(pieces)
+
+    main_term = H * w_hat_1 * block(1, d_max)
+    tail_proxy = abs(block(d_max + 1, 2 * d_max)) * H * w_hat_1
+    return main_term, tail_proxy
+
+
+def unit_inverses_prefix(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Units mod c (ascending) and their inverses, as int64 arrays, via one
+    batched inversion.
+
+    Prefix products of units stay units, so a single extended-Euclid
+    inversion of the total product unrolls into all the inverses.
+    """
+    units = [d for d in range(1, c) if math.gcd(d, c) == 1]
+    prefix = [1] * (len(units) + 1)
+    for i, u in enumerate(units):
+        prefix[i + 1] = (prefix[i] * u) % c
+    inv_all = pow(prefix[-1], -1, c)
+    inverses = [0] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        inverses[i] = (prefix[i] * inv_all) % c
+        inv_all = (inv_all * units[i]) % c
+    return np.asarray(units, dtype=np.int64), np.asarray(inverses, dtype=np.int64)
+
+
+def ramanujan_sum_bruteforce(d: int, n: int) -> complex:
+    """Direct exponential sum; oracle for the closed form."""
+    if d < 1:
+        raise ContractError("modulus must be >= 1")
+    total = 0.0 + 0.0j
+    for a in range(1, d + 1):
+        if math.gcd(a, d) == 1:
+            total += np.exp(2j * math.pi * ((a * n) % d) / d)
+    return total

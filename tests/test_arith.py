@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspcorr.arith import (divisor_count, euler_phi, kloosterman, moebius,
-                            ramanujan_sum, ramanujan_sum_bruteforce,
+from cuspcorr.arith import (_unit_inverses, divisor_count, euler_phi, kloosterman,
+                            moebius, mu_phi_sieve, ramanujan_sum, ramanujan_weighted,
                             reduced_fractions, weil_bound)
 from cuspcorr.errors import ContractError
+from oracles import ramanujan_sum_bruteforce, unit_inverses_prefix
 
 
 def test_euler_phi():
@@ -100,3 +102,30 @@ def test_ramanujan_divisor_identity(d, n):
 def test_divisor_count():
     assert divisor_count(1) == 1
     assert divisor_count(12) == 6
+
+
+def test_mu_phi_sieve_against_scalar():
+    mu, phi = mu_phi_sieve(500)
+    assert [int(x) for x in mu[1:]] == [moebius(d) for d in range(1, 501)]
+    assert [int(x) for x in phi[1:]] == [euler_phi(d) for d in range(1, 501)]
+
+
+def test_unit_inverses_match_prefix_product_oracle():
+    for c in range(1, 301):
+        units, inv = _unit_inverses(c)
+        ref_units, ref_inv = unit_inverses_prefix(c)
+        assert units.dtype == inv.dtype == np.int64
+        assert np.array_equal(units, ref_units) and np.array_equal(inv, ref_inv)
+        assert np.all(units * inv % c == 1)
+
+
+def test_ramanujan_weighted_against_scalar_sums():
+    rng = np.random.default_rng(5)
+    around_zero = np.arange(-120, 121)
+    for D, ms in ((1, around_zero), (2, around_zero), (17, around_zero), (60, around_zero),
+                  (60, np.arange(37, 91))):  # the last m-range does not start at 0
+        v = rng.integers(-9, 10, D + 1)
+        ref = [sum(int(v[d]) * ramanujan_sum(d, int(m)) for d in range(1, D + 1)) for m in ms]
+        assert ramanujan_weighted(v, ms).tolist() == ref
+        # r_d(0) = phi(d)
+        assert ramanujan_weighted(v, [0])[0] == sum(int(v[d]) * euler_phi(d) for d in range(1, D + 1))

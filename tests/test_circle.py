@@ -8,6 +8,7 @@ from cuspcorr.circle import (build_cover, detect_additive, itilde_eval, itilde_e
                              sweep_measures)
 from cuspcorr.errors import ContractError, EmptyCoverError
 from cuspcorr.windows import bump_window
+from oracles import detect_additive_fft
 
 W0 = bump_window()
 
@@ -160,3 +161,19 @@ def test_detect_error_shrinks_with_Q():
         cov = build_cover(W0, Q, Q ** -1.5)
         errs[Q] = abs(detect_additive(cov, (1, f), (1, g), 50) - exact) / abs(exact)
     assert errs[400] <= 0.5 * errs[100]
+
+
+@pytest.mark.parametrize("Q", [100, 400])
+def test_detect_matches_fft_oracle(Q):
+    rng = np.random.default_rng(7)
+    f = rng.integers(0, 2, 100) * 2.0 - 1.0
+    g = rng.integers(0, 2, 100) * 2.0 - 1.0
+    cov = build_cover(W0, Q, Q ** -1.5)
+    cases = [({50: 1.0}, {50: 1.0}, 50),
+             ({3: 1.0, 40: -2.0, 97: 0.5}, {7: 1.5, 60: 1.0}, 52),
+             ((1, f), (1, g), 50)]
+    for a, b, n in cases:
+        fast = detect_additive(cov, a, b, n)
+        ref = detect_additive_fft(cov, a, b, n)
+        assert fast.imag == 0.0
+        assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -12,6 +12,7 @@ from cuspcorr.correlations import (EULER_GAMMA, ExperimentConfig, divisor_main_t
                                    triple_correlation, wilton_sup)
 from cuspcorr.errors import ContractError
 from cuspcorr.windows import bump_window
+from oracles import detect_additive_fft, divisor_blocks_loop
 
 GAMMA_50_DIGITS = "0.57721566490153286060651209008240243104215933593992"
 
@@ -128,6 +129,16 @@ def test_divisor_deviation_shrinks(form12):
     assert d5["relative_deviation"] < d4["relative_deviation"]
 
 
+@pytest.mark.parametrize("seq", ["ones", "rademacher"])
+@pytest.mark.parametrize("d_max", [100, 300])
+def test_divisor_main_term_against_gcd_loop(seq, d_max):
+    cfg = ExperimentConfig(X=2000, H=44.0, seq=seq, seed=3)
+    r = divisor_main_term(cfg, d_max, enforce_tail=False)
+    main_term, tail_proxy = divisor_blocks_loop(cfg, d_max)
+    assert r["main_term"] == pytest.approx(main_term, rel=1e-10)
+    assert r["tail_proxy"] == pytest.approx(tail_proxy, rel=1e-10)
+
+
 def test_wilton_small_and_dc(form12):
     r = wilton_sup(form12, 1)
     assert r["sup"] == pytest.approx(1.0)
@@ -181,6 +192,11 @@ def test_pipeline_fidelity_acceptance_instance():
     assert r["abs_error"] < 1e-3
 
 
+def test_pipeline_fidelity_at_Q_ten_thousand():
+    r = pipeline_fidelity(n=500, H=50.0, Hp=160.0, Q=10_000.0)
+    assert r["rel_error"] < 0.05
+
+
 def test_pipeline_error_trend_in_Q():
     errs = [pipeline_fidelity(n=500, H=50.0, Hp=160.0, Q=q)["rel_error"]
             for q in (100.0, 200.0, 400.0)]
@@ -196,7 +212,9 @@ def test_pipeline_error_is_ramanujan_expansion(Q):
     sum_k C(k) I(k), where I(k) = sinc(2 k delta) Lambda^-1 sum_c w(c) r_c(k)
     and r_c is the Ramanujan sum.  I(0) = 1 and C(0) = E_direct, so the
     error is sum_{k != 0} C(k) I(k): smoothed Moebius sums that change sign
-    as Q moves, which is why the error is not monotone in Q.
+    as Q moves, which is why the error is not monotone in Q.  The same
+    error from the FFT detector (one fold per modulus and a Gauss-Legendre
+    eta-average) agrees with the closed form.
     """
     n, H, Hp = 500, 50.0, 160.0
     r = pipeline_fidelity(n=n, H=H, Hp=Hp, Q=Q)
@@ -221,6 +239,8 @@ def test_pipeline_error_is_ramanujan_expansion(Q):
             s = math.fsum(w * ramanujan_sum(c, int(k)) for c, w in cover.weights.items())
             expansion += ck * np.sinc(2 * k * delta) * s / cover.Lambda
     assert abs(err - expansion) <= 1e-9 * abs(err)
+    fft_err = detect_additive_fft(cover, (n + int(hs[0]), f), (int(m2[0]), g), n) - r["E_direct"]
+    assert abs(err - fft_err) <= 1e-9 * abs(fft_err)
 
 
 def test_scaling_synthetic_ones():
