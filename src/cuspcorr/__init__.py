@@ -8,16 +8,14 @@ __version__ = "0.1.0"
 
 from .arith import euler_phi, kloosterman, moebius, ramanujan_sum, reduced_fractions
 from .bessel import BesselKernel, bessel_j, bessel_j_grid
-from .coeffs import Eigenform, divisor_sieve, eisenstein_qexp, eta_power_qexp, make_eigenform
+from .coeffs import Eigenform, divisor_sieve, make_eigenform
 from .errors import ContractError, EmptyCoverError, InsufficientCoefficients, NumericsError
-from .qseries import QSeries
 from .windows import SmoothWindow, TransformKernel, bump_window, mellin_at, plateau_window, w_star
 
 __all__ = [
     "__version__",
-    "QSeries", "Eigenform", "make_eigenform", "eta_power_qexp", "eisenstein_qexp",
-    "divisor_sieve", "euler_phi", "moebius", "ramanujan_sum", "kloosterman",
-    "reduced_fractions", "BesselKernel", "bessel_j", "bessel_j_grid",
+    "Eigenform", "make_eigenform", "divisor_sieve", "euler_phi", "moebius",
+    "ramanujan_sum", "kloosterman", "reduced_fractions", "BesselKernel", "bessel_j", "bessel_j_grid",
     "SmoothWindow", "bump_window", "plateau_window", "mellin_at", "w_star",
     "TransformKernel", "ContractError", "EmptyCoverError",
     "InsufficientCoefficients", "NumericsError",

@@ -64,25 +64,26 @@ class FareyCover:
 def build_cover(w0, Q: float, delta: float) -> FareyCover:
     """Cover with weights w(c) = w0(c/Q) for c in [Q, 2Q], half-width delta.
 
-    w0 may be any callable with values in [0,1] (a SmoothWindow or a test
-    hook); delta must satisfy Q^-2 <= delta <= Q^-1 and is snapped to a
-    dyadic before use.
+    w0 is called once, on the array of every c/Q, and must return the array
+    of weights, each in [0,1] (a SmoothWindow or a test hook).  delta must
+    satisfy Q^-2 <= delta <= Q^-1 and is snapped to a dyadic before use.
     """
     if Q < 1:
         raise ContractError("need Q >= 1")
     d = snap_dyadic(float(delta))
     if not (Q ** -2 * (1 - 1e-9) <= float(d) <= Q ** -1 * (1 + 1e-9)):
         raise ContractError("delta must lie in [Q^-2, Q^-1]")
-    weights: dict[int, float] = {}
-    phi: dict[int, int] = {}
+    cs = np.arange(math.ceil(Q), math.floor(2 * Q) + 1)
+    ws = np.asarray(w0(cs / Q), dtype=np.float64)
+    if ws.shape != cs.shape:
+        raise ContractError("the window must return one weight per value of c/Q")
+    if np.any(ws < 0) or np.any(ws > 1 + 1e-12):
+        raise ContractError("weight values must lie in [0,1]")
     phis = mu_phi_sieve(math.floor(2 * Q))[1]
-    for c in range(math.ceil(Q), math.floor(2 * Q) + 1):
-        w = float(w0(c / Q))
-        if w < 0 or w > 1 + 1e-12:
-            raise ContractError("weight values must lie in [0,1]")
-        if w > 0.0:
-            weights[c] = w
-            phi[c] = int(phis[c])
+    keep = ws > 0.0
+    cs = cs[keep].tolist()
+    weights = dict(zip(cs, ws[keep].tolist()))
+    phi = dict(zip(cs, phis[cs].tolist()))
     if not weights:
         raise EmptyCoverError("all weights vanish on [Q, 2Q]")
     lam = math.fsum(weights[c] * phi[c] for c in weights)

@@ -7,8 +7,8 @@ and the Hecke relation can be checked exactly against them.
 
 ``make_eigenform`` builds the tables modulo a few primes (``qseries.mul_mod``)
 and lifts each coefficient once by CRT, with the prime count taken from
-Deligne's bound.  ``eta_power_qexp`` and ``eisenstein_qexp`` are the
-big-integer reference route it is tested against.
+Deligne's bound.  ``eta_power_qexp_naive`` multiplies the factors of the
+product out one by one, an independent check of the first few coefficients.
 """
 
 from __future__ import annotations
@@ -19,50 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, InsufficientCoefficients
-from .qseries import QSeries, crt_lift, crt_primes, mul_mod
+from .qseries import crt_lift, crt_primes, mul_mod
 
 SUPPORTED_WEIGHTS = (12, 16)
 
 
-def euler_product_qexp(N: int) -> QSeries:
-    """prod_{n>=1} (1 - q^n) to N terms via the pentagonal-number expansion."""
-    if N < 1:
-        raise ContractError("need N >= 1")
-    c = [0] * N
-    c[0] = 1
-    m = 1
-    while True:
-        p1 = m * (3 * m - 1) // 2
-        p2 = m * (3 * m + 1) // 2
-        if p1 >= N and p2 >= N:
-            break
-        s = -1 if m % 2 else 1
-        if p1 < N:
-            c[p1] += s
-        if p2 < N:
-            c[p2] += s
-        m += 1
-    return QSeries(tuple(c))
+def eta_power_qexp_naive(exponent: int, N: int) -> list[int]:
+    """q * prod(1-q^n)^exponent with the factors multiplied out one by one.
 
-
-def eta_power_qexp(exponent: int, N: int) -> QSeries:
-    """q * prod(1-q^n)^exponent, exact integers, N coefficients of q^1..q^N.
-
-    Returned series is indexed so that entry n-1 is the coefficient of q^n
-    (the leading q is factored in).  exponent=24 gives the weight-12 form.
-    """
-    if N < 1:
-        raise ContractError("empty series requested (N=0)")
-    if exponent < 2 or exponent % 2:
-        raise ContractError("exponent must be a positive even integer")
-    return euler_product_qexp(N).pow(exponent)
-
-
-def eta_power_qexp_naive(exponent: int, N: int) -> QSeries:
-    """Independent route: multiply the factors (1-q^n) out one by one.
-
-    O(exponent * N^2); only sensible for small N.  Kept as the oracle
-    against which the pentagonal/backward route is cross-checked.
+    Entry n-1 is the coefficient of q^n (the leading q is factored in), so
+    exponent=24 gives a(1..N) of the weight-12 form.  O(exponent * N^2);
+    only sensible for small N.
     """
     if N < 1:
         raise ContractError("empty series requested (N=0)")
@@ -72,33 +39,7 @@ def eta_power_qexp_naive(exponent: int, N: int) -> QSeries:
         for _ in range(exponent):
             for i in range(N - 1, n - 1, -1):
                 c[i] -= c[i - n]
-    return QSeries(tuple(c))
-
-
-def sigma_table(power: int, N: int) -> list[int]:
-    """sigma_power(n) for n = 0..N-1 (entry 0 unused, set to 0)."""
-    s = [0] * N
-    for d in range(1, N):
-        dp = d ** power
-        for m in range(d, N, d):
-            s[m] += dp
-    return s
-
-
-def eisenstein_qexp(weight: int, N: int) -> QSeries:
-    """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n."""
-    if weight not in (4, 6):
-        raise ContractError(f"unsupported Eisenstein weight {weight}")
-    if N < 1:
-        raise ContractError("need N >= 1")
-    if weight == 4:
-        mult, power = 240, 3
-    else:
-        mult, power = -504, 5
-    s = sigma_table(power, N)
-    c = [mult * x for x in s]
-    c[0] = 1
-    return QSeries(tuple(c))
+    return c
 
 
 @dataclass

@@ -1,35 +1,24 @@
-"""Truncated q-expansions over exact integers, and modular products.
+"""Exact products of truncated q-expansions, computed modulo small primes.
 
-A QSeries holds the first ``length`` coefficients (from q^0) of a formal
-power series with integer coefficients.  Multiplication is truncation
-consistent: the product of two length-N series agrees with any longer
-computation on the first N terms.
-
-Products are computed exactly.  Short series use schoolbook convolution;
-long ones are packed into a pair of big integers (Kronecker substitution)
-and multiplied once with Python's integer product.  This path is the
-reference that the modular route below is tested against.
-
-The modular route never forms a big integer until the end: series are
-multiplied modulo a few primes below 2^16 by float FFTs on the 8-bit halves
-of the residues (every rounded output checked), and each coefficient is
-reconstructed once by Garner's CRT with a balanced lift.  The caller sizes
-the prime set from a proven coefficient bound (``crt_primes``).
+Series are multiplied modulo a few primes below 2^16 by float FFTs on the
+8-bit halves of the residues (every rounded output checked), and each
+coefficient is reconstructed once by Garner's CRT with a balanced lift.  The
+caller sizes the prime set from a proven coefficient bound (``crt_primes``).
+``mul_coeffs`` is the exact schoolbook product that ``mul_mod`` is tested
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, NumericsError
 
-_SCHOOLBOOK_CUTOFF = 512
 
-
-def _school_mul(a: list[int], b: list[int], n: int) -> list[int]:
+def mul_coeffs(a: list[int], b: list[int], n: int) -> list[int]:
+    """First n coefficients of the product of two integer series, exact (O(n^2))."""
     out = [0] * n
     for i, ai in enumerate(a):
         if ai == 0 or i >= n:
@@ -41,107 +30,6 @@ def _school_mul(a: list[int], b: list[int], n: int) -> list[int]:
                 out[i + j] += ai * bj
     return out
 
-
-def _pack(coeffs: list[int], nbytes: int) -> int:
-    """Evaluate the polynomial at 2^(8*nbytes), negatives via one subtraction."""
-    pos = bytearray(len(coeffs) * nbytes)
-    neg = bytearray(len(coeffs) * nbytes)
-    any_neg = False
-    for i, x in enumerate(coeffs):
-        if x > 0:
-            pos[i * nbytes:(i + 1) * nbytes] = x.to_bytes(nbytes, "little")
-        elif x < 0:
-            any_neg = True
-            neg[i * nbytes:(i + 1) * nbytes] = (-x).to_bytes(nbytes, "little")
-    val = int.from_bytes(bytes(pos), "little")
-    if any_neg:
-        val -= int.from_bytes(bytes(neg), "little")
-    return val
-
-
-def _kronecker_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    max_a = max((abs(x) for x in a), default=0)
-    max_b = max((abs(x) for x in b), default=0)
-    if max_a == 0 or max_b == 0:
-        return [0] * n
-    bound = min(len(a), len(b)) * max_a * max_b
-    nbytes = (bound.bit_length() + 9) // 8 + 1  # sign bit + slack
-    prod = _pack(a, nbytes) * _pack(b, nbytes)
-    negate = prod < 0
-    if negate:
-        prod = -prod
-    raw = prod.to_bytes(n * nbytes + (prod.bit_length() // 8) + 16, "little")
-    half = 1 << (8 * nbytes - 1)
-    full = 1 << (8 * nbytes)
-    out = [0] * n
-    carry = 0
-    for i in range(n):
-        d = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
-        if d >= half:  # balanced digit: this slot was negative, borrow upward
-            d -= full
-            carry = 1
-        else:
-            carry = 0
-        out[i] = -d if negate else d
-    return out
-
-
-def mul_coeffs(a: list[int], b: list[int], n: int) -> list[int]:
-    """First n coefficients of the product, exact."""
-    if n <= _SCHOOLBOOK_CUTOFF or min(len(a), len(b)) <= 32:
-        return _school_mul(a, b, n)
-    return _kronecker_mul(a[:n], b[:n], n)
-
-
-@dataclass(frozen=True)
-class QSeries:
-    """Exact-integer truncated power series, coefficients indexed from q^0."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) == 0:
-            raise ContractError("empty series: need at least one coefficient")
-
-    @property
-    def length(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, n: int) -> int:
-        return self.coefficients[n]
-
-    def truncate(self, n: int) -> "QSeries":
-        if n < 1:
-            raise ContractError("truncation length must be >= 1")
-        if n >= self.length:
-            return self
-        return QSeries(self.coefficients[:n])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QSeries(tuple(c * other for c in self.coefficients))
-        n = min(self.length, other.length)
-        return QSeries(tuple(mul_coeffs(list(self.coefficients), list(other.coefficients), n)))
-
-    __rmul__ = __mul__
-
-    def pow(self, e: int) -> "QSeries":
-        """e-th power by binary exponentiation, truncated to this length."""
-        if e < 0:
-            raise ContractError("negative powers not supported")
-        n = self.length
-        result = QSeries((1,) + (0,) * (n - 1))
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-
-# -- modular route -----------------------------------------------------------
 
 _PRIME_CEILING = 1 << 16  # residues must split into two 8-bit halves
 ROUND_TOL = 0.25  # largest accepted |x - rint(x)| of an FFT convolution output

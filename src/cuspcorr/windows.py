@@ -23,13 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import BesselKernel, bessel_j, bessel_j_grid
+from .bessel import BesselKernel
 from .errors import ContractError, NumericsError
 from .quadrature import GL_ORDER, gl_nodes_weights, osc_quad, panel_rule
 
 __all__ = [
     "SmoothWindow", "bump_window", "plateau_window", "mellin_at",
-    "bessel_j", "bessel_j_grid", "w_star", "extract_oscillatory_parts",
+    "w_star", "extract_oscillatory_parts",
     "TransformKernel", "kuznetsov_transform_dot", "kuznetsov_transform_tilde",
 ]
 

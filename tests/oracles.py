@@ -7,10 +7,15 @@ The first three were the production paths of the functions they check:
   O(X d_max) gcd loop over d;
 - `unit_inverses_prefix`: the unit inverses mod c by prefix products and a
   single extended-Euclid inversion;
-- `ramanujan_sum_bruteforce`: r_d(n) as the exponential sum it is defined by.
+- `ramanujan_sum_bruteforce`: r_d(n) as the exponential sum it is defined by;
+- `sigma_table`: divisor power sums by a plain Python loop;
+- `eigenform_recurrence`: the weight-12 and weight-16 eigenforms from
+  Ramanujan's recurrence for tau, with no FFT, CRT or eta product.
 """
 
+import functools
 import math
+from operator import mul
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from cuspcorr.arith import euler_phi, moebius
 from cuspcorr.circle import _as_sequence
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
 from cuspcorr.errors import ContractError
+from cuspcorr.qseries import mul_coeffs
 from cuspcorr.quadrature import gl_nodes_weights
 from cuspcorr.windows import mellin_at
 
@@ -121,3 +127,38 @@ def ramanujan_sum_bruteforce(d: int, n: int) -> complex:
         if math.gcd(a, d) == 1:
             total += np.exp(2j * math.pi * ((a * n) % d) / d)
     return total
+
+
+def sigma_table(power: int, N: int) -> list[int]:
+    """sigma_power(n) for n = 0..N-1 (entry 0 unused, set to 0)."""
+    s = [0] * N
+    for d in range(1, N):
+        dp = d ** power
+        for m in range(d, N, d):
+            s[m] += dp
+    return s
+
+
+@functools.cache
+def eigenform_recurrence(weight: int, N: int) -> tuple[int, ...]:
+    """a(0..N) of the weight-12 or weight-16 eigenform (a(0) = 0), exact.
+
+    q dDelta/dq = Delta E2 with E2 = 1 - 24 sum sigma_1(n) q^n gives
+    (n - 1) tau(n) = -24 sum_{k<n} sigma_1(k) tau(n - k), so tau needs only
+    sigma_1 and exact division.  Weight 16 is Delta E4 by schoolbook product,
+    E4 = 1 + 240 sum sigma_3(n) q^n.  O(N^2); cached, so one build per
+    session serves every shorter slice.
+    """
+    if weight not in (12, 16):
+        raise ContractError("weight must be 12 or 16")
+    s1 = sigma_table(1, N + 1)
+    tau = [0, 1]
+    for n in range(2, N + 1):
+        q, r = divmod(-24 * sum(map(mul, s1[1:n], reversed(tau[1:n]))), n - 1)
+        assert r == 0, f"the tau recurrence is not integral at n={n}"
+        tau.append(q)
+    if weight == 12:
+        return tuple(tau)
+    e4 = [240 * x for x in sigma_table(3, N)]
+    e4[0] = 1
+    return (0,) + tuple(mul_coeffs(tau[1:], e4, N))

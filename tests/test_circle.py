@@ -14,7 +14,7 @@ W0 = bump_window()
 
 
 def single_c_hook(t):
-    return 1.0 if t == 1.0 else 0.0
+    return np.where(t == 1.0, 1.0, 0.0)
 
 
 def test_single_interval_closed_form():
@@ -38,9 +38,18 @@ def test_itilde_point_values():
 
 def test_empty_cover():
     with pytest.raises(EmptyCoverError):
-        build_cover(lambda t: 0.0, 10, 0.02)
+        build_cover(lambda t: np.zeros_like(t), 10, 0.02)
     with pytest.raises(ContractError):
         build_cover(W0, 10, 0.5)  # delta > 1/Q
+
+
+def test_window_values_outside_unit_interval():
+    with pytest.raises(ContractError, match=r"\[0,1\]"):
+        build_cover(lambda t: np.where(t == 1.5, 1.01, 0.5), 10, 0.02)
+    with pytest.raises(ContractError, match=r"\[0,1\]"):
+        build_cover(lambda t: -W0(t), 10, 0.02)
+    with pytest.raises(ContractError, match="one weight"):
+        build_cover(lambda t: 0.5, 10, 0.02)  # a scalar hook: no weight per c
 
 
 def test_interval_count_matches_totients():

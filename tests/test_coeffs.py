@@ -7,43 +7,20 @@ from hypothesis import strategies as st
 
 from cuspcorr import coeffs
 from cuspcorr.cli import main
-from cuspcorr.coeffs import (divisor_sieve, eisenstein_qexp, eta_power_qexp,
-                             eta_power_qexp_naive, hecke_relation_report, make_eigenform,
-                             sigma3_sieve, sigma_table, table_primes)
+from cuspcorr.coeffs import (divisor_sieve, eta_power_qexp_naive, hecke_relation_report,
+                             make_eigenform, sigma3_sieve, table_primes)
 from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
-from cuspcorr.qseries import QSeries, _school_mul, crt_lift, crt_primes, mul_mod
-
-
-def test_eta24_leading_coefficient():
-    s = eta_power_qexp(24, 1)
-    assert s[0] == 1  # a(1)
+from cuspcorr.qseries import crt_lift, crt_primes, mul_coeffs, mul_mod
+from oracles import eigenform_recurrence, sigma_table
 
 
 def test_eta24_small_values_against_naive_product():
     # independent route: multiply the (1-q^n) factors out directly
-    fast = eta_power_qexp(24, 8)
+    fast = make_eigenform(12, 8).a[1:9]
     naive = eta_power_qexp_naive(24, 8)
-    assert fast.coefficients == naive.coefficients
+    assert fast == naive
     assert fast[1] == -24    # a(2)
     assert fast[4] == 4830   # a(5)
-
-
-def test_eta_power_contract():
-    with pytest.raises(ContractError):
-        eta_power_qexp(24, 0)
-    with pytest.raises(ContractError):
-        eta_power_qexp(3, 10)
-
-
-def test_eisenstein_values():
-    e4 = eisenstein_qexp(4, 3)
-    assert e4[0] == 1
-    assert e4[1] == 240
-    assert e4[2] == 240 * 9  # 240 sigma_3(2)
-    e6 = eisenstein_qexp(6, 2)
-    assert e6[1] == -504
-    with pytest.raises(ContractError):
-        eisenstein_qexp(8, 5)
 
 
 def test_make_eigenform_normalization():
@@ -54,6 +31,10 @@ def test_make_eigenform_normalization():
     assert g.lam[1] == 1.0
     with pytest.raises(ContractError):
         make_eigenform(14, 10)
+    with pytest.raises(ContractError):
+        make_eigenform(12, 0)
+    with pytest.raises(ContractError):
+        eta_power_qexp_naive(24, 0)
 
 
 def test_hecke_relation_coprime_and_prime_power():
@@ -94,52 +75,43 @@ def test_partial_sum_bound(form12, form16):
 
 
 small_series = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12)
+P = 65521  # the largest prime below 2^16, the first CRT prime
+
+
+def _residues(a):
+    return np.array(a, dtype=np.int64) % P
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_series, small_series, small_series)
-def test_qseries_mul_associative_commutative(a, b, c):
-    A, B, C = QSeries(tuple(a)), QSeries(tuple(b)), QSeries(tuple(c))
-    assert (A * B).coefficients == (B * A).coefficients
-    lhs = ((A * B) * C).coefficients
-    rhs = (A * (B * C)).coefficients
-    assert lhs == rhs
+def test_mul_mod_associative_commutative(a, b, c):
+    A, B, C = _residues(a), _residues(b), _residues(c)
+    n = len(a) + len(b) + len(c) - 2  # the whole triple product
+    assert np.array_equal(mul_mod(A, B, P, n), mul_mod(B, A, P, n))
+    lhs = mul_mod(mul_mod(A, B, P, n), C, P, n)
+    rhs = mul_mod(A, mul_mod(B, C, P, n), P, n)
+    assert np.array_equal(lhs, rhs)
+    assert lhs.tolist() == [x % P for x in mul_coeffs(mul_coeffs(a, b, n), c, n)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_series, small_series, st.integers(min_value=1, max_value=8))
-def test_qseries_truncation_consistency(a, b, n):
-    A, B = QSeries(tuple(a)), QSeries(tuple(b))
-    full = (A * B).coefficients
+def test_mul_mod_truncation_consistency(a, b, n):
+    A, B = _residues(a), _residues(b)
+    full = mul_mod(A, B, P, len(a) + len(b) - 1)
+    assert full.tolist() == [x % P for x in mul_coeffs(a, b, len(a) + len(b) - 1)]
     k = min(n, len(full))
-    short = (A.truncate(k) * B.truncate(k)).coefficients
-    assert short == full[:k]
-
-
-def test_qseries_kronecker_matches_schoolbook():
-    # force both code paths on the same data
-    from cuspcorr.qseries import _kronecker_mul, _school_mul
-    rng = np.random.default_rng(5)
-    a = [int(x) for x in rng.integers(-10 ** 6, 10 ** 6, 700)]
-    b = [int(x) for x in rng.integers(-10 ** 6, 10 ** 6, 700)]
-    assert _kronecker_mul(a, b, 700) == _school_mul(a, b, 700)
-
-
-def _reference_a(weight, N):
-    """a(0..N) by the big-integer route: eta^24, times E4 for weight 16."""
-    series = eta_power_qexp(24, N)
-    if weight == 16:
-        series = series * eisenstein_qexp(4, N)
-    return [0] + list(series.coefficients)
+    assert np.array_equal(mul_mod(A[:k], B[:k], P, k), full[:k])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from((12, 16)), st.integers(min_value=1, max_value=3000))
-def test_modular_build_matches_big_integer_path(weight, N):
+def test_modular_build_matches_recurrence_oracle(weight, N):
+    reference = list(eigenform_recurrence(weight, 3000)[:N + 1])  # built once, sliced per draw
     saved = dict(coeffs._form_cache)
     coeffs._form_cache.clear()  # build at exactly this N, not from a larger cached table
     try:
-        assert make_eigenform(weight, N).a == _reference_a(weight, N)
+        assert make_eigenform(weight, N).a == reference
     finally:
         coeffs._form_cache.clear()
         coeffs._form_cache.update(saved)
@@ -167,9 +139,9 @@ def test_mul_mod_matches_schoolbook():
     p = 65521
     a = rng.integers(p - 300, p, 600)  # residues near p: the largest FFT inputs
     b = rng.integers(0, p, 450)
-    ref = [x % p for x in _school_mul([int(x) for x in a], [int(x) for x in b], 800)]
+    ref = [x % p for x in mul_coeffs([int(x) for x in a], [int(x) for x in b], 800)]
     assert mul_mod(a, b, p, 800).tolist() == ref
-    sq = [x % p for x in _school_mul([int(x) for x in a], [int(x) for x in a], 700)]
+    sq = [x % p for x in mul_coeffs([int(x) for x in a], [int(x) for x in a], 700)]
     assert mul_mod(a, a, p, 700).tolist() == sq
 
 
