@@ -119,8 +119,10 @@ def ramanujan_weighted(v, ms) -> np.ndarray:
     v[0] is ignored.  Since r_d(m) = sum_{e | (d,m)} e mu(d/e), the sum
     equals sum_{e | m} e B(e) with B(e) = sum_j v[e j] mu(j): the weights
     are Moebius-inverted once and e B(e) is scattered onto the multiples of
-    e in the range of |m| (every e divides 0, so m = 0 gives
-    sum_d v[d] phi(d)).  Cost O((D + span) log D), with no (#d x #m) table.
+    e in the arithmetic progression lo + s j that holds every |m|, with lo
+    the least |m| and s the gcd of the differences (every e divides 0, so
+    m = 0 gives sum_d v[d] phi(d)).  Cost O((D + span / s) log D), with no
+    (#d x #m) table.
     """
     v = np.asarray(v)
     ms = np.abs(np.asarray(ms, dtype=np.int64))
@@ -131,10 +133,15 @@ def ramanujan_weighted(v, ms) -> np.ndarray:
         if mu[j]:
             B[1:D // j + 1] += mu[j] * v[j::j]
     lo = int(ms.min())
-    out = np.zeros(int(ms.max()) - lo + 1, dtype=B.dtype)
+    s = int(np.gcd.reduce(ms - lo)) or 1
+    out = np.zeros((int(ms.max()) - lo) // s + 1, dtype=B.dtype)
     for e in range(1, D + 1):
-        out[-lo % e::e] += e * B[e]
-    return out[ms - lo]
+        g = math.gcd(s, e)
+        if lo % g == 0:  # e | lo + s j exactly for j = j0 mod e/g
+            step = e // g
+            j0 = -(lo // g) * pow(s // g, -1, step) % step
+            out[j0::step] += e * B[e]
+    return out[(ms - lo) // s]
 
 
 def kloosterman(a: int, b: int, c: int) -> float:

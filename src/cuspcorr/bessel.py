@@ -168,20 +168,19 @@ def _hankel_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = prev < _HANKEL_MINTERM
     active = ~ok
     for k in range(2, 200):
-        term = term * ((mu - (2 * k - 1) ** 2) / (k * 8.0)) / x
+        term *= (mu - (2 * k - 1) ** 2) / (k * 8.0)
+        term /= x
         mag = np.abs(term)
-        diverging = active & (mag >= prev)
-        active &= ~diverging
+        active &= mag < prev  # divergence onset: stop before the blow-up
         if k % 2 == 0:
-            signed = -term if k % 4 == 2 else term
-            p_sum += np.where(active, signed, 0.0)
+            total, subtract = p_sum, k % 4 == 2
         else:
-            signed = -term if (k - 1) % 4 == 2 else term
-            q_sum += np.where(active, signed, 0.0)
+            total, subtract = q_sum, (k - 1) % 4 == 2
+        (np.subtract if subtract else np.add)(total, term, where=active, out=total)
         converged = active & (mag < _HANKEL_MINTERM)
         ok |= converged
         active &= ~converged
-        prev = np.where(active, mag, prev)
+        prev = mag  # entries that left `active` never read prev again
         if not np.any(active):
             break
     chi = x - (0.5 * nu + 0.25) * math.pi

@@ -25,6 +25,9 @@ EPS0 = 1e-300
 _TERM_FLOOR = 1e-13   # dual terms below floor * scale are treated as tail
 _CONSECUTIVE = 12     # how many consecutive tiny terms end the scan
 _QUAD_TOL = 1e-11     # absolute tolerance of each dual integral
+_GRID_VALUES = 8192   # Bessel arguments per kernel.grid call of the dual side
+_FIRST_BLOCK = 32     # dual terms in the first block; each later block doubles
+_HARD_CAP = 200000    # most dual terms a scan may compute
 
 
 @dataclass
@@ -72,33 +75,57 @@ def voronoi_lhs(inst: VoronoiInstance) -> complex:
     return complex(np.sum(lam * v * phases))
 
 
-def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: float, tol: float) -> complex:
-    """int V(x) J_nu(A sqrt(x)) dx over supp V, with A-aware paneling."""
+def _rule_sums(kernel: BesselKernel, V: SmoothWindow, A: np.ndarray,
+               panel_counts: list[int]) -> list[np.ndarray]:
+    """sum V(x) J_nu(A sqrt(x)) w over the panel rule of each count, for every A.
+
+    The rules share each kernel.grid call, which takes as many rows of A as
+    fit in about _GRID_VALUES arguments (at least one row).
+    """
+    rules = [panel_rule(*V.support, p) for p in panel_counts]
+    roots = np.sqrt(np.concatenate([xs for xs, _ in rules]))
+    step = max(1, _GRID_VALUES // roots.size)
+    weighted = [(V(xs), ws) for xs, ws in rules]
+    sums = [np.empty(A.size, dtype=np.result_type(v, ws)) for v, ws in weighted]
+    for i in range(0, A.size, step):
+        J = kernel.grid(A[i:i + step, None] * roots)
+        col = 0
+        for out, (v, ws) in zip(sums, weighted):
+            out[i:i + step] = np.sum(v * J[:, col:col + ws.size] * ws, axis=1)
+            col += ws.size
+    return sums
+
+
+def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: np.ndarray, tol: float) -> np.ndarray:
+    """int V(x) J_nu(A sqrt(x)) dx over supp V for each A of an ascending
+    array, with A-aware paneling.
+
+    Each A gets max(4, ceil(cycles)) panels and one refinement at twice as
+    many as an error estimate; only the A whose two values disagree get a
+    third rule with four times as many.  Panel counts grow with A, so equal
+    counts form consecutive runs, and each run shares its rules, its window
+    values and its Bessel calls.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    if A.size == 0:
+        return np.zeros(0)
     lo, hi = V.support
     cycles = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi) + 1.0
-    panels = max(4, math.ceil(cycles))
-
-    def integrate(n_panels: int):
-        xs, ws = panel_rule(lo, hi, n_panels)
-        return np.sum(V(xs) * kernel.grid(A * np.sqrt(xs)) * ws)
-
-    first = integrate(panels)
-    # one refinement as an error estimate
-    second = integrate(2 * panels)
-    if abs(second - first) > max(tol, 1e-14 * abs(second)):
-        third = integrate(4 * panels)
-        if abs(third - second) > max(tol, 1e-13 * abs(third)):
-            raise NumericsError(f"dual integral not converged at A={A:g}")
-        return complex(third)
-    return complex(second)
-
-
-def _dual_term(inst: VoronoiInstance, kernel: BesselKernel, lam_src: Eigenform,
-               table: np.ndarray, bbar: int, n: int) -> complex:
-    A = 4.0 * math.pi * math.sqrt(n * inst.N) / inst.c
-    integral = _dual_integral(kernel, inst.V, A, _QUAD_TOL)
-    phase = np.conj(table[(bbar % inst.c) * n % inst.c])
-    return complex(lam_src.lam[n] * phase * integral)
+    panels = np.maximum(4, np.ceil(cycles)).astype(np.int64)
+    edges = [0, *(np.flatnonzero(np.diff(panels)) + 1).tolist(), A.size]
+    out = []
+    for i, j in zip(edges[:-1], edges[1:]):
+        p, a = int(panels[i]), A[i:j]
+        first, second = _rule_sums(kernel, V, a, [p, 2 * p])
+        redo = np.abs(second - first) > np.maximum(tol, 1e-14 * np.abs(second))
+        if np.any(redo):
+            (third,) = _rule_sums(kernel, V, a[redo], [4 * p])
+            failed = np.abs(third - second[redo]) > np.maximum(tol, 1e-13 * np.abs(third))
+            if np.any(failed):
+                raise NumericsError(f"dual integral not converged at A={a[redo][failed][0]:g}")
+            second[redo] = third
+        out.append(second)
+    return np.concatenate(out)
 
 
 def voronoi_rhs(inst: VoronoiInstance) -> tuple[complex, dict]:
@@ -108,7 +135,9 @@ def voronoi_rhs(inst: VoronoiInstance) -> tuple[complex, dict]:
     Otherwise the scan stops after _CONSECUTIVE dual terms fall below the
     term floor relative to the running scale, then continues to twice the
     stopping point as a certified margin (the doubling-stability property
-    checks that this margin is already negligible).
+    checks that this margin is already negligible).  Terms are computed in
+    blocks of n (_FIRST_BLOCK, then doubling); terms of the last block
+    beyond twice the stopping point are dropped.
     """
     kappa = inst.form.weight
     kernel = BesselKernel.of(kappa - 1)
@@ -118,48 +147,55 @@ def voronoi_rhs(inst: VoronoiInstance) -> tuple[complex, dict]:
 
     lam_src = inst.form
 
-    def ensure(n):
+    def dual_terms(n_lo: int, n_hi: int) -> np.ndarray:
         nonlocal lam_src
-        if n > lam_src.length:
+        if n_hi > lam_src.length:
             if not lam_src.canonical:
                 raise InsufficientCoefficients(
-                    f"dual side needs lambda({n}); custom form has {lam_src.length}"
+                    f"dual side needs lambda({n_hi}); custom form has {lam_src.length}"
                 )
-            lam_src = make_eigenform(kappa, max(2 * n, 1024))
+            lam_src = make_eigenform(kappa, max(2 * n_hi, 1024))
+        n = np.arange(n_lo, n_hi + 1)
+        A = 4.0 * math.pi * np.sqrt(n * inst.N) / inst.c
+        integral = _dual_integral(kernel, inst.V, A, _QUAD_TOL)
+        phase = np.conj(table[(bbar % inst.c) * n % inst.c])
+        return lam_src.lam[n_lo:n_hi + 1] * phase * integral
 
-    terms: list[complex] = []
     if inst.rhs_truncation is not None:
-        ensure(inst.rhs_truncation)
-        for n in range(1, inst.rhs_truncation + 1):
-            terms.append(_dual_term(inst, kernel, lam_src, table, bbar, n))
+        terms = dual_terms(1, inst.rhs_truncation)
         n_stop = inst.rhs_truncation
         tail_margin = float("nan")
     else:
+        blocks = []
         scale = 0.0
         quiet = 0
         n_stop = None
-        n = 0
-        hard_cap = 200000
-        while n < hard_cap:
-            n += 1
-            if n_stop is not None and n > 2 * n_stop:
-                break
-            ensure(n)
-            term = _dual_term(inst, kernel, lam_src, table, bbar, n)
-            terms.append(term)
-            mag = abs(term)
-            scale = max(scale, mag)
-            if n_stop is None:
+        n_done = 0
+        size = _FIRST_BLOCK
+        while n_stop is None:
+            if n_done >= _HARD_CAP:
+                raise NumericsError("dual sum did not decay within the hard cap")
+            n_hi = min(n_done + size, _HARD_CAP)
+            if not lam_src.canonical:  # ask a custom form for no more than it has
+                n_hi = min(n_hi, max(lam_src.length, n_done + 1))
+            blocks.append(dual_terms(n_done + 1, n_hi))
+            for n, mag in enumerate(np.abs(blocks[-1]).tolist(), n_done + 1):
+                scale = max(scale, mag)
                 if mag < _TERM_FLOOR * (scale + 1.0):
                     quiet += 1
                     if quiet >= _CONSECUTIVE and n >= 8:
                         n_stop = n
+                        break
                 else:
                     quiet = 0
-        if n_stop is None:
-            raise NumericsError("dual sum did not decay within the hard cap")
+            n_done = n_hi
+            size *= 2
+        n_terms = min(2 * n_stop, _HARD_CAP)
+        if n_done < n_terms:
+            blocks.append(dual_terms(n_done + 1, n_terms))
+        terms = np.concatenate(blocks)[:n_terms]
         tail_margin = float(np.sum(np.abs(terms[n_stop:]))) * abs(prefactor)
-    total = prefactor * np.sum(np.asarray(terms))
+    total = prefactor * np.sum(terms)
     diag = {
         "n_terms": len(terms),
         "n_stop": n_stop,

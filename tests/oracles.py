@@ -10,7 +10,11 @@ The first three were the production paths of the functions they check:
 - `ramanujan_sum_bruteforce`: r_d(n) as the exponential sum it is defined by;
 - `sigma_table`: divisor power sums by a plain Python loop;
 - `eigenform_recurrence`: the weight-12 and weight-16 eigenforms from
-  Ramanujan's recurrence for tau, with no FFT, CRT or eta product.
+  Ramanujan's recurrence for tau, with no FFT, CRT or eta product;
+- `hankel_grid_loop`: the Hankel expansion with a fresh array for every
+  update of the term, the sums and the divergence mask;
+- `voronoi_rhs_sequential`: the Voronoi dual sum one term at a time, two
+  Bessel calls per term, with the stop rule checked after each term.
 """
 
 import functools
@@ -20,12 +24,15 @@ from operator import mul
 import numpy as np
 
 from cuspcorr.arith import euler_phi, moebius
+from cuspcorr.bessel import _HANKEL_MINTERM, BesselKernel
 from cuspcorr.circle import _as_sequence
+from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
-from cuspcorr.errors import ContractError
+from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
 from cuspcorr.qseries import mul_coeffs
-from cuspcorr.quadrature import gl_nodes_weights
-from cuspcorr.windows import mellin_at
+from cuspcorr.quadrature import gl_nodes_weights, panel_rule
+from cuspcorr.voronoi import _CONSECUTIVE, _QUAD_TOL, _TERM_FLOOR, VoronoiInstance, _phase_table
+from cuspcorr.windows import SmoothWindow, mellin_at
 
 _ETA_NODES = 16  # Gauss-Legendre nodes of the eta average in detect_additive_fft
 
@@ -162,3 +169,132 @@ def eigenform_recurrence(weight: int, N: int) -> tuple[int, ...]:
     e4 = [240 * x for x in sigma_table(3, N)]
     e4[0] = 1
     return (0,) + tuple(mul_coeffs(tau[1:], e4, N))
+
+
+def hankel_grid_loop(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized Hankel expansion; returns (values, trusted mask)."""
+    x = np.maximum(xs, 1e-300)
+    mu = 4.0 * nu * nu
+    p_sum = np.ones_like(x)
+    q_sum = (mu - 1.0) / (8.0 * x)
+    term = q_sum.copy()
+    prev = np.where(term != 0.0, np.abs(term), 1.0)
+    ok = prev < _HANKEL_MINTERM
+    active = ~ok
+    for k in range(2, 200):
+        term = term * ((mu - (2 * k - 1) ** 2) / (k * 8.0)) / x
+        mag = np.abs(term)
+        diverging = active & (mag >= prev)
+        active &= ~diverging
+        if k % 2 == 0:
+            signed = -term if k % 4 == 2 else term
+            p_sum += np.where(active, signed, 0.0)
+        else:
+            signed = -term if (k - 1) % 4 == 2 else term
+            q_sum += np.where(active, signed, 0.0)
+        converged = active & (mag < _HANKEL_MINTERM)
+        ok |= converged
+        active &= ~converged
+        prev = np.where(active, mag, prev)
+        if not np.any(active):
+            break
+    chi = x - (0.5 * nu + 0.25) * math.pi
+    vals = np.sqrt(2.0 / (math.pi * x)) * (np.cos(chi) * p_sum - np.sin(chi) * q_sum)
+    return vals, ok
+
+
+def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: float, tol: float) -> complex:
+    """int V(x) J_nu(A sqrt(x)) dx over supp V, with A-aware paneling."""
+    lo, hi = V.support
+    cycles = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi) + 1.0
+    panels = max(4, math.ceil(cycles))
+
+    def integrate(n_panels: int):
+        xs, ws = panel_rule(lo, hi, n_panels)
+        return np.sum(V(xs) * kernel.grid(A * np.sqrt(xs)) * ws)
+
+    first = integrate(panels)
+    # one refinement as an error estimate
+    second = integrate(2 * panels)
+    if abs(second - first) > max(tol, 1e-14 * abs(second)):
+        third = integrate(4 * panels)
+        if abs(third - second) > max(tol, 1e-13 * abs(third)):
+            raise NumericsError(f"dual integral not converged at A={A:g}")
+        return complex(third)
+    return complex(second)
+
+
+def _dual_term(inst: VoronoiInstance, kernel: BesselKernel, lam_src: Eigenform,
+               table: np.ndarray, bbar: int, n: int) -> complex:
+    A = 4.0 * math.pi * math.sqrt(n * inst.N) / inst.c
+    integral = _dual_integral(kernel, inst.V, A, _QUAD_TOL)
+    phase = np.conj(table[(bbar % inst.c) * n % inst.c])
+    return complex(lam_src.lam[n] * phase * integral)
+
+
+def voronoi_rhs_sequential(inst: VoronoiInstance) -> tuple[complex, dict]:
+    """Dual sum; returns (value, diagnostics).
+
+    With rhs_truncation set, exactly that many dual terms are used.
+    Otherwise the scan stops after _CONSECUTIVE dual terms fall below the
+    term floor relative to the running scale, then continues to twice the
+    stopping point as a certified margin (the doubling-stability property
+    checks that this margin is already negligible).
+    """
+    kappa = inst.form.weight
+    kernel = BesselKernel.of(kappa - 1)
+    bbar = pow(inst.b % inst.c, -1, inst.c) if inst.c > 1 else 0
+    prefactor = (inst.N / inst.c) * 2.0 * math.pi * (1j ** kappa)
+    table = _phase_table(inst.c)
+
+    lam_src = inst.form
+
+    def ensure(n):
+        nonlocal lam_src
+        if n > lam_src.length:
+            if not lam_src.canonical:
+                raise InsufficientCoefficients(
+                    f"dual side needs lambda({n}); custom form has {lam_src.length}"
+                )
+            lam_src = make_eigenform(kappa, max(2 * n, 1024))
+
+    terms: list[complex] = []
+    if inst.rhs_truncation is not None:
+        ensure(inst.rhs_truncation)
+        for n in range(1, inst.rhs_truncation + 1):
+            terms.append(_dual_term(inst, kernel, lam_src, table, bbar, n))
+        n_stop = inst.rhs_truncation
+        tail_margin = float("nan")
+    else:
+        scale = 0.0
+        quiet = 0
+        n_stop = None
+        n = 0
+        hard_cap = 200000
+        while n < hard_cap:
+            n += 1
+            if n_stop is not None and n > 2 * n_stop:
+                break
+            ensure(n)
+            term = _dual_term(inst, kernel, lam_src, table, bbar, n)
+            terms.append(term)
+            mag = abs(term)
+            scale = max(scale, mag)
+            if n_stop is None:
+                if mag < _TERM_FLOOR * (scale + 1.0):
+                    quiet += 1
+                    if quiet >= _CONSECUTIVE and n >= 8:
+                        n_stop = n
+                else:
+                    quiet = 0
+        if n_stop is None:
+            raise NumericsError("dual sum did not decay within the hard cap")
+        tail_margin = float(np.sum(np.abs(terms[n_stop:]))) * abs(prefactor)
+    total = prefactor * np.sum(np.asarray(terms))
+    diag = {
+        "n_terms": len(terms),
+        "n_stop": n_stop,
+        "tail_margin": tail_margin,
+        "prefactor": complex(prefactor),
+    }
+    return complex(total), diag

@@ -129,3 +129,14 @@ def test_ramanujan_weighted_against_scalar_sums():
         assert ramanujan_weighted(v, ms).tolist() == ref
         # r_d(0) = phi(d)
         assert ramanujan_weighted(v, [0])[0] == sum(int(v[d]) * euler_phi(d) for d in range(1, D + 1))
+
+
+def test_ramanujan_weighted_on_progressions():
+    # |m| on a progression with stride 2 or 3 and a nonzero offset: only
+    # its slots are filled, with the same sums as the scalar definition
+    rng = np.random.default_rng(8)
+    for D, ms in ((60, 2 * np.arange(5, 90)), (60, 3 * np.arange(4, 70) + 7),
+                  (45, 3 * np.arange(-30, 0) - 2), (45, np.array([11, 11, 35, 17]))):
+        v = rng.integers(-9, 10, D + 1)
+        ref = [sum(int(v[d]) * ramanujan_sum(d, int(m)) for d in range(1, D + 1)) for m in ms]
+        assert ramanujan_weighted(v, ms).tolist() == ref

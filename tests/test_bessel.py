@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from cuspcorr.bessel import BesselKernel, bessel_j, bessel_j_grid, j_hankel, j_integral, j_series
+from cuspcorr.bessel import (BesselKernel, _hankel_grid, _hankel_zone, _series_zone, bessel_j,
+                             bessel_j_grid, j_hankel, j_integral, j_series)
 from cuspcorr.errors import ContractError
+from oracles import hankel_grid_loop
 
 
 def test_values_at_zero():
@@ -87,3 +89,17 @@ def test_kernel_strategies_named():
     assert kern.strategy(1000.0) == "asymptotic"
     kern30 = BesselKernel.of(30)
     assert kern30.strategy(100.0) == "integral"  # Hankel unsafe below 0.2 nu^2
+
+
+@pytest.mark.parametrize("nu", [0.0, 3.5, 11.0, 15.0, 25.0, 100.0])
+def test_hankel_grid_matches_loop_oracle(nu):
+    # the in-place loop performs the same roundings, so values and trusted
+    # masks are equal bit for bit, far outside the Hankel zone included
+    rng = np.random.default_rng(int(nu * 10))
+    cutoffs = [0.0, _series_zone(nu), 20.0, 22.0, _hankel_zone(nu), 50.0, 3000.0]
+    xs = np.concatenate([rng.uniform(0.0, 50.0, 5000), rng.uniform(20.0, 3000.0, 5000), cutoffs])
+    with np.errstate(all="ignore"):  # x near 0 overflows both loops alike
+        vals, ok = _hankel_grid(nu, xs)
+        ref_vals, ref_ok = hankel_grid_loop(nu, xs)
+    assert np.array_equal(vals, ref_vals, equal_nan=True)
+    assert np.array_equal(ok, ref_ok)

@@ -5,6 +5,7 @@ from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.errors import ContractError, InsufficientCoefficients
 from cuspcorr.voronoi import VoronoiInstance, voronoi_check, voronoi_instance, voronoi_lhs, voronoi_rhs
 from cuspcorr.windows import SmoothWindow, bump_window
+from oracles import voronoi_rhs_sequential
 
 
 def zero_window():
@@ -76,13 +77,54 @@ def test_custom_form_insufficient_raises():
         voronoi_rhs(inst)
 
 
-def test_dual_term_small_argument_scaling(form12):
+def test_dual_term_small_argument_scaling():
     # below the oscillatory regime the dual integral scales like A^(kappa-1)
     from cuspcorr.bessel import BesselKernel
     from cuspcorr.voronoi import _dual_integral
     kern = BesselKernel.of(11)
     W = bump_window()
-    i1 = complex(_dual_integral(kern, W, 0.02, 1e-12))
-    i2 = complex(_dual_integral(kern, W, 0.04, 1e-12))
+    i1, i2 = _dual_integral(kern, W, np.array([0.02, 0.04]), 1e-12)
     ratio = abs(i2) / abs(i1)
     assert ratio == pytest.approx(2 ** 11, rel=0.02)
+
+
+@pytest.mark.parametrize("weight", [12, 16])
+@pytest.mark.parametrize("b,c", [(1, 1), (1, 3), (2, 5)])
+def test_batched_rhs_matches_sequential_oracle(weight, b, c):
+    inst = voronoi_instance(weight, b, c, 200.0)
+    val, diag = voronoi_rhs(inst)
+    ref, ref_diag = voronoi_rhs_sequential(inst)
+    for key in ("n_stop", "n_terms", "tail_margin"):
+        assert diag[key] == ref_diag[key], key
+    assert val == ref
+
+
+@pytest.mark.parametrize("weight", [12, 16])
+def test_batched_rhs_near_sequential_oracle_small_N(weight):
+    # J in the integral zone is summed by a trapezoid rule sized by the
+    # largest argument of each Bessel call, so batching moves the last bits
+    inst = voronoi_instance(weight, 2, 5, 50.0)
+    val, diag = voronoi_rhs(inst)
+    ref, ref_diag = voronoi_rhs_sequential(inst)
+    assert (diag["n_stop"], diag["n_terms"]) == (ref_diag["n_stop"], ref_diag["n_terms"])
+    assert abs(val - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("N", [200.0, 800.0])
+def test_custom_form_with_exactly_the_needed_coefficients(N):
+    # the scan needs lambda(n) up to 2 n_stop and not one more.  At N = 200
+    # the last scan block ends before 2 n_stop = 238; at N = 800 the block
+    # n = 33..96 runs past 2 n_stop = 74, beyond the end of the form.
+    n_stop = voronoi_rhs_sequential(voronoi_instance(12, 1, 3, N))[1]["n_stop"]
+    full = make_eigenform(12, 2 * n_stop)
+
+    def custom_instance(length):
+        form = Eigenform(weight=12, a=list(full.a[:length + 1]), lam=full.lam[:length + 1].copy())
+        return VoronoiInstance(form=form, b=1, c=3, N=N)
+
+    exact = custom_instance(2 * n_stop)
+    assert voronoi_rhs(exact) == voronoi_rhs_sequential(exact)
+    short = custom_instance(2 * n_stop - 1)
+    for rhs in (voronoi_rhs_sequential, voronoi_rhs):
+        with pytest.raises(InsufficientCoefficients):
+            rhs(short)
