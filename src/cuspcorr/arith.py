@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,9 +101,10 @@ def _unit_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, inv
 
 
+@lru_cache(maxsize=8)
 def mu_phi_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moebius mu(d) and Euler phi(d) for 0 <= d <= n, as int64 arrays
-    (the entries at d = 0 are placeholders)."""
+    """Moebius mu(d) and Euler phi(d) for 0 <= d <= n, as read-only int64
+    arrays (the entries at d = 0 are placeholders), cached per n."""
     mu = np.ones(n + 1, dtype=np.int64)
     phi = np.arange(n + 1, dtype=np.int64)
     for p in range(2, n + 1):
@@ -110,6 +112,8 @@ def mu_phi_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
             mu[p::p] *= -1
             mu[p * p::p * p] = 0
             phi[p::p] -= phi[p::p] // p
+    mu.flags.writeable = False  # the cache hands these same arrays to every caller
+    phi.flags.writeable = False
     return mu, phi
 
 

@@ -29,6 +29,7 @@ from .errors import ContractError
 _SERIES_CANCEL_LIMIT = 1e4      # max-term / result before the series is rejected
 _HANKEL_MINTERM = 1e-15         # smallest asymptotic term we must reach
 _UNDERFLOW_LOG = -745.0
+_GRID_VALUES = 8192             # arguments per grid call for callers that batch rows
 
 
 def _series_zone(nu: float) -> float:
@@ -100,8 +101,9 @@ def j_hankel(nu: float, x: float) -> tuple[float, bool]:
     return value, ok
 
 
-def _trapezoid_nodes(nu: float, xmax: float) -> int:
-    return max(64, int(3.2 * (nu + xmax)) + 1)
+def _trapezoid_nodes(nu: float, xmax):
+    """Trapezoid intervals for arguments up to xmax (a number or an array)."""
+    return np.maximum(64, (3.2 * (nu + np.asarray(xmax))).astype(np.int64) + 1)
 
 
 def _noninteger_tail(nu: float, x: float) -> float:
@@ -227,7 +229,7 @@ class BesselKernel:
         return "integral"
 
     def __call__(self, x: float) -> float:
-        if x < 0:
+        if not x >= 0:  # NaN included
             raise ContractError("argument must be >= 0")
         which = self.strategy(x)
         if which == "series":
@@ -241,10 +243,17 @@ class BesselKernel:
         return j_integral(self.nu, x)
 
     def grid(self, xs) -> np.ndarray:
-        """Vectorized evaluation over an array of arguments."""
+        """Vectorized evaluation over an array of arguments.
+
+        Each 1-D slice along the last axis is a row (a 1-D argument is one
+        row), and rows do not interact: the integral route sizes its
+        trapezoid rule by each row's largest integral-route argument and
+        serves rows of equal node counts together, so a value never depends
+        on the other rows of its call.
+        """
         arr = np.asarray(xs, dtype=np.float64)
         flat = arr.ravel().copy()
-        if np.any(flat < 0):
+        if not np.all(flat >= 0):  # NaN included
             raise ContractError("argument must be >= 0")
         out = np.empty_like(flat)
         need_exact = np.zeros(flat.shape, dtype=bool)
@@ -268,7 +277,14 @@ class BesselKernel:
         need_exact |= ~small & ~large
         idx = np.nonzero(need_exact)[0]
         if idx.size:
-            out[idx] = _integral_grid(self.nu, flat[idx])
+            exact = flat[idx]
+            rows = idx // (arr.shape[-1] if arr.ndim else 1)
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))
+            nodes = _trapezoid_nodes(self.nu, np.maximum.reduceat(exact, starts))
+            per_arg = np.repeat(nodes, np.diff(starts, append=idx.size))
+            for m in set(nodes.tolist()):
+                pick = per_arg == m
+                out[idx[pick]] = _integral_grid(self.nu, exact[pick])
         return out.reshape(arr.shape)
 
 

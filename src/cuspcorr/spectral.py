@@ -24,10 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _unit_inverses
-from .bessel import BesselKernel
+from .bessel import _GRID_VALUES, BesselKernel
 from .coeffs import make_eigenform
 from .errors import ContractError, NumericsError
-from .util import parallel_map
 
 DIMENSION_ONE_WEIGHTS = (12, 16, 18, 20, 22, 26)
 DEFAULT_CMAX = 1000
@@ -49,14 +48,30 @@ class PeterssonValue:
     tail_bound: float
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of `values` and the index of each entry among them."""
+    ordered = np.sort(values)
+    distinct = ordered[np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))]
+    return distinct, np.searchsorted(distinct, values)
+
+
 def _kloosterman_block(pairs: np.ndarray, c: int) -> np.ndarray:
-    """S(m,n;c) for all (m,n) rows of `pairs`, sharing one unit table."""
+    """S(m,n;c) for all (m,n) rows of `pairs`, sharing one unit table.
+
+    The residue rows (m u) mod c and (n ubar) mod c are built once for each
+    distinct m and n of `pairs`.  A pair's residues are the sum of its two
+    rows, which lies in [0, 2c - 2] and indexes a cosine table laid out
+    twice, so nothing is reduced mod c on the (pairs x units) array.
+    """
     if c == 1:
         return np.ones(len(pairs))
     units, inv = _unit_inverses(c)
     table = np.cos(2.0 * math.pi * np.arange(c) / c)
-    res = (pairs[:, 0:1] * units[None, :] + pairs[:, 1:2] * inv[None, :]) % c
-    return table[res].sum(axis=1)
+    ms, m_of = _distinct(pairs[:, 0])
+    ns, n_of = _distinct(pairs[:, 1])
+    res = (ms[:, None] * units % c)[m_of]
+    res += (ns[:, None] * inv % c)[n_of]
+    return np.take(np.concatenate((table, table)), res).sum(axis=1)
 
 
 def petersson_tail_bound(k: int, m: int, n: int, c_max: int) -> float:
@@ -92,12 +107,18 @@ def _kloosterman_table(m_lo: int, m_hi: int, c_max: int) -> np.ndarray:
 
 def _geometric_sums(k: int, pairs: np.ndarray, kl: np.ndarray) -> np.ndarray:
     """sum_{c <= c_max} S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c) for each row (m, n)
-    of `pairs`, with S read from `kl` (columns c = 1..c_max)."""
+    of `pairs`, with S read from `kl` (columns c = 1..c_max).
+
+    Each kernel.grid call takes as many rows as fit in about _GRID_VALUES
+    arguments (at least one row); grid rows do not interact, so the values
+    equal those of one call per row.
+    """
     kernel = BesselKernel.of(k - 1)
     sqrt_mn = np.sqrt(pairs[:, 0] * pairs[:, 1]).astype(np.float64)
     cs = np.arange(1, kl.shape[1] + 1)
-    rows = parallel_map(lambda s: kernel.grid(4.0 * math.pi * s / cs), list(sqrt_mn))
-    jcache = np.vstack(rows)
+    step = max(1, _GRID_VALUES // cs.size)
+    jcache = np.vstack([kernel.grid(4.0 * math.pi * sqrt_mn[i:i + step, None] / cs)
+                        for i in range(0, len(pairs), step)])
     sums = np.zeros(len(pairs))
     for ci, c in enumerate(cs):
         sums += kl[:, ci] * jcache[:, ci] / c

@@ -1,4 +1,5 @@
-"""Small shared helpers: worker count, order-preserving threaded map, RNG."""
+"""Small shared helpers: worker count, order-preserving threaded map (run
+by the scaling study), RNG."""
 
 from __future__ import annotations
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import BesselKernel
+from .bessel import _GRID_VALUES, BesselKernel
 from .coeffs import Eigenform, make_eigenform
 from .errors import ContractError, InsufficientCoefficients, NumericsError
 from .quadrature import panel_rule
@@ -25,7 +25,6 @@ EPS0 = 1e-300
 _TERM_FLOOR = 1e-13   # dual terms below floor * scale are treated as tail
 _CONSECUTIVE = 12     # how many consecutive tiny terms end the scan
 _QUAD_TOL = 1e-11     # absolute tolerance of each dual integral
-_GRID_VALUES = 8192   # Bessel arguments per kernel.grid call of the dual side
 _FIRST_BLOCK = 32     # dual terms in the first block; each later block doubles
 _HARD_CAP = 200000    # most dual terms a scan may compute
 

@@ -14,7 +14,11 @@ The first three were the production paths of the functions they check:
 - `hankel_grid_loop`: the Hankel expansion with a fresh array for every
   update of the term, the sums and the divergence mask;
 - `voronoi_rhs_sequential`: the Voronoi dual sum one term at a time, two
-  Bessel calls per term, with the stop rule checked after each term.
+  Bessel calls per term, with the stop rule checked after each term;
+- `kloosterman_block_mod`: S(m,n;c) for a pair array by reducing
+  m u + n ubar mod c on the whole (pairs x units) array;
+- `geometric_sums_rows`: the Kloosterman-Bessel sums with one Bessel call
+  per pair (the threaded map it ran through is a list comprehension here).
 """
 
 import functools
@@ -23,7 +27,7 @@ from operator import mul
 
 import numpy as np
 
-from cuspcorr.arith import euler_phi, moebius
+from cuspcorr.arith import _unit_inverses, euler_phi, moebius
 from cuspcorr.bessel import _HANKEL_MINTERM, BesselKernel
 from cuspcorr.circle import _as_sequence
 from cuspcorr.coeffs import Eigenform, make_eigenform
@@ -298,3 +302,27 @@ def voronoi_rhs_sequential(inst: VoronoiInstance) -> tuple[complex, dict]:
         "prefactor": complex(prefactor),
     }
     return complex(total), diag
+
+
+def kloosterman_block_mod(pairs: np.ndarray, c: int) -> np.ndarray:
+    """S(m,n;c) for all (m,n) rows of `pairs`, sharing one unit table."""
+    if c == 1:
+        return np.ones(len(pairs))
+    units, inv = _unit_inverses(c)
+    table = np.cos(2.0 * math.pi * np.arange(c) / c)
+    res = (pairs[:, 0:1] * units[None, :] + pairs[:, 1:2] * inv[None, :]) % c
+    return table[res].sum(axis=1)
+
+
+def geometric_sums_rows(k: int, pairs: np.ndarray, kl: np.ndarray) -> np.ndarray:
+    """sum_{c <= c_max} S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c) for each row (m, n)
+    of `pairs`, with S read from `kl` (columns c = 1..c_max)."""
+    kernel = BesselKernel.of(k - 1)
+    sqrt_mn = np.sqrt(pairs[:, 0] * pairs[:, 1]).astype(np.float64)
+    cs = np.arange(1, kl.shape[1] + 1)
+    rows = [kernel.grid(4.0 * math.pi * s / cs) for s in list(sqrt_mn)]
+    jcache = np.vstack(rows)
+    sums = np.zeros(len(pairs))
+    for ci, c in enumerate(cs):
+        sums += kl[:, ci] * jcache[:, ci] / c
+    return sums

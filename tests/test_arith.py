@@ -110,6 +110,16 @@ def test_mu_phi_sieve_against_scalar():
     assert [int(x) for x in phi[1:]] == [euler_phi(d) for d in range(1, 501)]
 
 
+def test_mu_phi_sieve_cached_read_only():
+    mu, phi = mu_phi_sieve(300)
+    assert mu_phi_sieve(300)[0] is mu  # one build per n
+    fresh_mu, fresh_phi = mu_phi_sieve.__wrapped__(300)
+    assert np.array_equal(mu, fresh_mu) and np.array_equal(phi, fresh_phi)
+    for table in (mu, phi):
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
 def test_unit_inverses_match_prefix_product_oracle():
     for c in range(1, 301):
         units, inv = _unit_inverses(c)

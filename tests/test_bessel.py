@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from cuspcorr.bessel import (BesselKernel, _hankel_grid, _hankel_zone, _series_zone, bessel_j,
-                             bessel_j_grid, j_hankel, j_integral, j_series)
+from cuspcorr.bessel import (BesselKernel, _hankel_grid, _hankel_zone, _series_zone,
+                             _trapezoid_nodes, bessel_j, bessel_j_grid, j_hankel, j_integral,
+                             j_series)
 from cuspcorr.errors import ContractError
 from oracles import hankel_grid_loop
 
@@ -21,6 +22,11 @@ def test_contract():
         bessel_j(-1.0, 2.0)
     with pytest.raises(ContractError):
         bessel_j(2.0, -0.5)
+    for bad in (float("nan"), np.array([1.0, float("nan")])):
+        with pytest.raises(ContractError):
+            bessel_j_grid(11.0, bad)
+    with pytest.raises(ContractError):
+        bessel_j(11.0, float("nan"))
 
 
 def test_strategy_agreement_series_vs_integral():
@@ -103,3 +109,24 @@ def test_hankel_grid_matches_loop_oracle(nu):
         ref_vals, ref_ok = hankel_grid_loop(nu, xs)
     assert np.array_equal(vals, ref_vals, equal_nan=True)
     assert np.array_equal(ok, ref_ok)
+
+
+@pytest.mark.parametrize("nu", [11.0, 25.0])
+def test_grid_rows_independent(nu):
+    # rows that cross the series, integral and Hankel zones, with the Hankel
+    # arguments its monitor rejects just above the cutoff; a 2-D call equals
+    # one 1-D call per row bit for bit
+    kern = BesselKernel.of(nu)
+    s, h = _series_zone(nu), _hankel_zone(nu)
+    rng = np.random.default_rng(int(nu))
+    tops = [0.5 * s, s, 0.5 * (s + h), h, 1.2 * h, 3.0 * h, 1.2 * h, 0.7 * h]
+    rows = np.array([rng.permutation(np.concatenate([[0.0, s, h], rng.uniform(0.0, top, 297)]))
+                     for top in tops])
+    _, trusted = _hankel_grid(nu, rows[rows >= h])
+    assert not np.all(trusted)  # some arguments are served by the integral route instead
+    integral = (rows > s) & (rows < h)
+    assert len({int(_trapezoid_nodes(nu, row[ok].max())) for row, ok in zip(rows, integral)
+                if ok.any()}) > 2  # rows need different trapezoid rules
+    batched = kern.grid(rows)
+    assert np.array_equal(batched, np.vstack([kern.grid(row) for row in rows]))
+    assert np.array_equal(kern.grid(rows[None]), batched[None])  # rows along the last axis

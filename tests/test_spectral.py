@@ -11,8 +11,12 @@ from cuspcorr.spectral import (_kloosterman_block, large_sieve_ratio, petersson_
                                sieve_quadratic_form)
 from cuspcorr.bessel import bessel_j
 from cuspcorr.util import rademacher
+from oracles import geometric_sums_rows, kloosterman_block_mod
 
 CMAX = 1000
+# the two ranges the Petersson tables and a sieve form read, and one far-apart pair
+PAIR_SETS = {"m1-10": spectral._upper_pairs(1, 10), "m12-24": spectral._upper_pairs(12, 24),
+             "1,1e5": np.array([(1, 10 ** 5)], dtype=np.int64)}
 
 
 def test_kloosterman_block_matches_scalar_sum():
@@ -23,6 +27,24 @@ def test_kloosterman_block_matches_scalar_sum():
         block = _kloosterman_block(pairs, c)
         scalar = [kloosterman(int(m), int(n), c) for m, n in pairs]
         assert np.allclose(block, scalar, rtol=0, atol=1e-12), c
+
+
+@pytest.mark.parametrize("name", PAIR_SETS)
+def test_kloosterman_block_matches_mod_c_oracle(name):
+    # the residue rows add up to the same integers, summed in the same order
+    pairs = PAIR_SETS[name]
+    for c in range(1, 301):
+        assert np.array_equal(_kloosterman_block(pairs, c), kloosterman_block_mod(pairs, c)), c
+
+
+@pytest.mark.parametrize("name", PAIR_SETS)
+def test_batched_geometric_sums_match_row_oracle(name):
+    # Bessel rows batched into shared grid calls give the one-call-per-row values
+    pairs = PAIR_SETS[name]
+    kl = spectral._kloosterman_rows(pairs, 300)
+    for k in range(12, 27, 2):
+        assert np.array_equal(spectral._geometric_sums(k, pairs, kl),
+                              geometric_sums_rows(k, pairs, kl)), k
 
 
 @pytest.mark.parametrize("k", (12, 14, 16, 18))
