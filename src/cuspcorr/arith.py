@@ -160,7 +160,7 @@ def kloosterman(a: int, b: int, c: int) -> float:
     if c == 1:
         return 1.0
     d, dbar = _unit_inverses(c)
-    residues = (a * d + b * dbar) % c
+    residues = ((a % c) * d + (b % c) * dbar) % c  # a * d alone may overflow int64
     angles = 2.0 * math.pi * residues.astype(np.float64) / c
     re = float(np.sum(np.cos(angles)))
     im = float(np.sum(np.sin(angles)))

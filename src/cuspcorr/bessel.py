@@ -1,12 +1,13 @@
-"""J-Bessel evaluation by three mutually checking strategies.
+"""J-Bessel evaluation: one vectorised evaluator over three routes.
 
 * power series around 0, with a running cancellation monitor;
 * Hankel large-argument asymptotics, with a smallest-term error monitor;
 * the cosine integral representation
       J_nu(x) = (1/pi) * int_0^pi cos(nu xi - x sin xi) d xi   (minus an
-  exponential tail for non-integer nu), evaluated by the trapezoid rule,
-  which is superconvergent here because every odd derivative of the
-  integrand vanishes at both endpoints.
+  exponential tail for non-integer nu).  For integer nu it is evaluated by
+  the trapezoid rule, which is superconvergent here because every odd
+  derivative of the integrand vanishes at both endpoints; for non-integer
+  nu that fails at pi, so both integrals take Gauss-Legendre panels.
 
 The integral route is uniformly accurate over the whole desk-scale range
 and acts as the arbiter; series and asymptotics are fast paths that are
@@ -15,6 +16,10 @@ switchover "series below max(2 nu, 20), asymptotics above" loses all
 precision for nu >= 12 (the series cancels like I_nu(x) ~ e^x near
 x = 2 nu and the Hankel expansion diverges immediately there), so zone
 boundaries here are accuracy-driven instead.
+
+`BesselKernel.grid` serves every caller, `bessel_j` included, so a value
+does not depend on how it was asked for.  The scalar routes it replaced
+are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
+from .quadrature import panel_rule
 
 _SERIES_CANCEL_LIMIT = 1e4      # max-term / result before the series is rejected
 _HANKEL_MINTERM = 1e-15         # smallest asymptotic term we must reach
@@ -40,92 +46,10 @@ def _hankel_zone(nu: float) -> float:
     return max(22.0, 0.2 * nu * nu)
 
 
-def j_series(nu: float, x: float) -> tuple[float, bool]:
-    """Ascending series with cancellation monitor; (value, trustworthy)."""
-    if x == 0.0:
-        return (1.0 if nu == 0.0 else 0.0), True
-    log_t0 = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
-    if log_t0 < _UNDERFLOW_LOG:
-        return 0.0, True  # below 1e-300: zero at double precision
-    t = math.exp(log_t0)
-    total = t
-    largest = abs(t)
-    q = 0.25 * x * x
-    m = 0
-    while m < 600:
-        m += 1
-        t = -t * q / (m * (nu + m))
-        total += t
-        mag = abs(t)
-        if mag > largest:
-            largest = mag
-        if mag < 1e-17 * max(largest, abs(total)) and m > 3:
-            ok = largest <= _SERIES_CANCEL_LIMIT * max(abs(total), 1e-280)
-            return total, ok
-    return total, False
-
-
-def j_hankel(nu: float, x: float) -> tuple[float, bool]:
-    """Hankel asymptotic expansion with smallest-term monitor.
-
-    P = sum (-1)^j a_{2j}/x^{2j}, Q = sum (-1)^j a_{2j+1}/x^{2j+1} with
-    a_m = prod_{i<=m} (4 nu^2 - (2i-1)^2) / (m! 8^m); trusted only when
-    the terms reach 1e-15 before the asymptotic divergence sets in.
-    """
-    if x <= 0.0:
-        return 0.0, False
-    mu = 4.0 * nu * nu
-    p_sum = 1.0
-    q_sum = (mu - 1.0) / (8.0 * x)
-    term = q_sum
-    prev = abs(term) if term != 0.0 else 1.0
-    min_term = prev
-    ok = prev < _HANKEL_MINTERM
-    k = 1
-    while k < 200 and not ok:
-        k += 1
-        term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        mag = abs(term)
-        if mag >= prev:  # divergence onset: stop before the blow-up
-            break
-        if k % 2 == 0:
-            p_sum += -term if k % 4 == 2 else term
-        else:
-            q_sum += -term if (k - 1) % 4 == 2 else term
-        min_term = min(min_term, mag)
-        prev = mag
-        if mag < _HANKEL_MINTERM:
-            ok = True
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p_sum - math.sin(chi) * q_sum)
-    return value, ok
-
-
 def _trapezoid_nodes(nu: float, xmax):
-    """Trapezoid intervals for arguments up to xmax (a number or an array)."""
+    """Trapezoid intervals for arguments up to xmax (a number or an array);
+    non-integer orders take an eighth as many Gauss-Legendre panels."""
     return np.maximum(64, (3.2 * (nu + np.asarray(xmax))).astype(np.int64) + 1)
-
-
-def _noninteger_tail(nu: float, x: float) -> float:
-    # int_0^inf exp(-nu t - x sinh t) dt; the integrand decays at least
-    # like exp(-(nu + x) t), so this truncation is conservative.
-    upper = 50.0 / max(nu + x, 1.0) + 5.0
-    t = np.linspace(0.0, upper, 2000)
-    g = np.exp(-nu * t - x * np.sinh(np.minimum(t, 700.0)))
-    return float(np.trapezoid(g, t))
-
-
-def j_integral(nu: float, x: float) -> float:
-    """Cosine integral representation by superconvergent trapezoid."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    m = _trapezoid_nodes(nu, x)
-    xi = np.linspace(0.0, math.pi, m + 1)
-    f = np.cos(nu * xi - x * np.sin(xi))
-    value = (np.sum(f) - 0.5 * (f[0] + f[-1])) / m
-    if abs(nu - round(nu)) > 1e-12:
-        value -= math.sin(nu * math.pi) / math.pi * _noninteger_tail(nu, x)
-    return float(value)
 
 
 def _series_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +75,7 @@ def _series_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if m > 3 and np.all(np.abs(t) < 1e-17 * np.maximum(largest, np.abs(total))):
             break
     trusted = largest <= _SERIES_CANCEL_LIMIT * np.maximum(np.abs(total), 1e-280)
-    out = np.zeros_like(x)
-    out[:] = np.where(live, total, 0.0)
-    vals[pos] = out
+    vals[pos] = np.where(live, total, 0.0)
     okx = np.where(live, trusted, True)
     ok[pos] = okx
     return vals, ok
@@ -191,25 +113,28 @@ def _hankel_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integral_grid(nu: float, xs: np.ndarray) -> np.ndarray:
-    if xs.size == 0:
-        return xs.copy()
+    """The cosine integral for values that share one row's node count."""
     m = _trapezoid_nodes(nu, float(xs.max()))
-    xi = np.linspace(0.0, math.pi, m + 1)
-    f = np.cos(nu * xi[None, :] - xs[:, None] * np.sin(xi)[None, :])
-    vals = (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / m
-    if abs(nu - round(nu)) > 1e-12:
-        vals = vals - np.array(
-            [math.sin(nu * math.pi) / math.pi * _noninteger_tail(nu, float(x)) for x in xs]
-        )
-    zero = xs == 0.0
-    if np.any(zero):
-        vals[zero] = 1.0 if nu == 0.0 else 0.0
-    return vals
+    if abs(nu - round(nu)) <= 1e-12:
+        xi = np.linspace(0.0, math.pi, m + 1)
+        f = np.cos(nu * xi[None, :] - xs[:, None] * np.sin(xi)[None, :])
+        return (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / m
+    # the odd derivatives no longer vanish at pi, so the trapezoid rule would
+    # be second order only: Gauss-Legendre panels for both integrals
+    xi, w = panel_rule(0.0, math.pi, m // 8)
+    vals = np.cos(nu * xi[None, :] - xs[:, None] * np.sin(xi)[None, :]) @ w / math.pi
+    # tail int_0^inf exp(-nu t - x sinh t) dt; the integrand decays at least
+    # like exp(-(nu + x) t), so this truncation is conservative
+    upper = 50.0 / np.maximum(nu + xs, 1.0) + 5.0
+    u, wu = panel_rule(0.0, 1.0, 64)
+    t = upper[:, None] * u[None, :]
+    tail = np.exp(-nu * t - xs[:, None] * np.sinh(t)) @ wu * upper
+    return vals - math.sin(nu * math.pi) / math.pi * tail
 
 
 @dataclass(frozen=True)
 class BesselKernel:
-    """Evaluation strategy for J_nu with accuracy-driven zone boundaries."""
+    """J_nu with accuracy-driven zone boundaries."""
 
     nu: float
     series_cutoff: float
@@ -221,38 +146,17 @@ class BesselKernel:
             raise ContractError("order must be >= 0")
         return cls(nu=float(nu), series_cutoff=_series_zone(nu), hankel_cutoff=_hankel_zone(nu))
 
-    def strategy(self, x: float) -> str:
-        if x <= self.series_cutoff:
-            return "series"
-        if x >= self.hankel_cutoff:
-            return "asymptotic"
-        return "integral"
-
-    def __call__(self, x: float) -> float:
-        if not x >= 0:  # NaN included
-            raise ContractError("argument must be >= 0")
-        which = self.strategy(x)
-        if which == "series":
-            value, ok = j_series(self.nu, x)
-            if ok:
-                return value
-        elif which == "asymptotic":
-            value, ok = j_hankel(self.nu, x)
-            if ok:
-                return value
-        return j_integral(self.nu, x)
-
     def grid(self, xs) -> np.ndarray:
         """Vectorized evaluation over an array of arguments.
 
         Each 1-D slice along the last axis is a row (a 1-D argument is one
-        row), and rows do not interact: the integral route sizes its
-        trapezoid rule by each row's largest integral-route argument and
-        serves rows of equal node counts together, so a value never depends
-        on the other rows of its call.
+        row), and rows do not interact: the integral route sizes its rule
+        by each row's largest integral-route argument and serves rows of
+        equal node counts together, so a value never depends on the other
+        rows of its call.
         """
         arr = np.asarray(xs, dtype=np.float64)
-        flat = arr.ravel().copy()
+        flat = arr.ravel()
         if not np.all(flat >= 0):  # NaN included
             raise ContractError("argument must be >= 0")
         out = np.empty_like(flat)
@@ -262,17 +166,13 @@ class BesselKernel:
         if np.any(small):
             vals, ok = _series_grid(self.nu, flat[small])
             out[small] = vals
-            bad = np.zeros(flat.shape, dtype=bool)
-            bad[small] = ~ok
-            need_exact |= bad
+            need_exact[small] = ~ok
 
         large = flat >= self.hankel_cutoff
         if np.any(large):
             vals, ok = _hankel_grid(self.nu, flat[large])
             out[large] = vals
-            bad = np.zeros(flat.shape, dtype=bool)
-            bad[large] = ~ok
-            need_exact |= bad
+            need_exact[large] = ~ok
 
         need_exact |= ~small & ~large
         idx = np.nonzero(need_exact)[0]
@@ -289,8 +189,8 @@ class BesselKernel:
 
 
 def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real nu >= 0, x >= 0."""
-    return BesselKernel.of(nu)(x)
+    """J_nu(x) for real nu >= 0, x >= 0: the grid evaluator on one value."""
+    return float(BesselKernel.of(nu).grid(x))
 
 
 def bessel_j_grid(nu: float, xs) -> np.ndarray:

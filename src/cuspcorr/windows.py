@@ -35,6 +35,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _U_FLOOR = 1.0 / 700.0  # below this, exp(-1/u) * u^(-k) underflows for k <= 8
+_TRANSFORM_TOL = 1e-10  # absolute tolerance of w_star and the two Kuznetsov transforms
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,7 @@ def mellin_at(window: SmoothWindow, s: complex) -> complex:
     return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=1e-12))
 
 
-def w_star(window: SmoothWindow, kappa: int, z: float, w: float,
-           tol: float = 1e-10) -> complex:
+def w_star(window: SmoothWindow, kappa: int, z: float, w: float) -> complex:
     """int W(y) J_(kappa-1)(4 pi sqrt(y w + z)) dy over the support of W.
 
     Requires z >= 4|w| > 0, which keeps the Bessel argument away from the
@@ -194,7 +194,7 @@ def w_star(window: SmoothWindow, kappa: int, z: float, w: float,
 
     # phase 2 sqrt(yw+z) has derivative w / sqrt(yw+z) <= |w| / sqrt(z/2)
     cycles = (abs(w) / math.sqrt(0.5 * z) + abs(window.eta)) * (hi - lo)
-    return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=tol))
+    return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL))
 
 
 def w_star_grid(window: SmoothWindow, kappa: int, z_grid: np.ndarray, w: float,
@@ -316,7 +316,7 @@ class TransformKernel:
         return ((1.0 + abs(self.alpha)) / TWO_PI + abs(self.tau) / (TWO_PI * lo + 1e-300)) * (hi - lo)
 
 
-def kuznetsov_transform_dot(phi: TransformKernel, k: int, tol: float = 1e-10) -> complex:
+def kuznetsov_transform_dot(phi: TransformKernel, k: int) -> complex:
     """4 i^k int phi(x) J_(k-1)(x) dx / x for even k >= 2."""
     if k < 2 or k % 2:
         raise ContractError("holomorphic transform needs even k >= 2")
@@ -326,7 +326,7 @@ def kuznetsov_transform_dot(phi: TransformKernel, k: int, tol: float = 1e-10) ->
     def integrand(x):
         return phi(x) * kernel.grid(x) / x
 
-    val = osc_quad(integrand, lo, hi, cycles=phi.x_cycles(), tol=tol)
+    val = osc_quad(integrand, lo, hi, cycles=phi.x_cycles(), tol=_TRANSFORM_TOL)
     return 4.0 * (1j ** k) * complex(val)
 
 
@@ -385,7 +385,7 @@ def maass_bessel_kernel(x: float, t: float) -> complex:
     return -4j / math.pi * _cos_cosh_kernel(x, t)
 
 
-def kuznetsov_transform_tilde(phi: TransformKernel, t: float, tol: float = 1e-10) -> complex:
+def kuznetsov_transform_tilde(phi: TransformKernel, t: float) -> complex:
     """2 pi i int phi(x) (J_{2it} - J_{-2it})(x) / sinh(pi t) dx / x.
 
     Evaluates to 8 int phi(x) C(x,t) dx/x with the real cosine kernel C.
@@ -397,5 +397,5 @@ def kuznetsov_transform_tilde(phi: TransformKernel, t: float, tol: float = 1e-10
         return phi(x) * kern / x
 
     cycles = phi.x_cycles() + (hi - lo) / TWO_PI  # kernel itself turns like e^(ix)
-    val = osc_quad(integrand, lo, hi, cycles=cycles, tol=tol)
+    val = osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL)
     return 8.0 * complex(val)

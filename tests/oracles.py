@@ -11,6 +11,10 @@ The first three were the production paths of the functions they check:
 - `sigma_table`: divisor power sums by a plain Python loop;
 - `eigenform_recurrence`: the weight-12 and weight-16 eigenforms from
   Ramanujan's recurrence for tau, with no FFT, CRT or eta product;
+- `j_series`, `j_hankel`, `j_integral` and `bessel_j_scalar`: J-Bessel one
+  value at a time, by the scalar routes and zone dispatch that `bessel` had
+  beside `BesselKernel.grid` (the integral's non-integer tail is the
+  second-order trapezoid, so use `j_integral` for integer orders only);
 - `hankel_grid_loop`: the Hankel expansion with a fresh array for every
   update of the term, the sums and the divergence mask;
 - `voronoi_rhs_sequential`: the Voronoi dual sum one term at a time, two
@@ -28,7 +32,8 @@ from operator import mul
 import numpy as np
 
 from cuspcorr.arith import _unit_inverses, euler_phi, moebius
-from cuspcorr.bessel import _HANKEL_MINTERM, BesselKernel
+from cuspcorr.bessel import (_HANKEL_MINTERM, _SERIES_CANCEL_LIMIT, _UNDERFLOW_LOG, BesselKernel,
+                             _trapezoid_nodes)
 from cuspcorr.circle import _as_sequence
 from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
@@ -173,6 +178,106 @@ def eigenform_recurrence(weight: int, N: int) -> tuple[int, ...]:
     e4 = [240 * x for x in sigma_table(3, N)]
     e4[0] = 1
     return (0,) + tuple(mul_coeffs(tau[1:], e4, N))
+
+
+def j_series(nu: float, x: float) -> tuple[float, bool]:
+    """Ascending series with cancellation monitor; (value, trustworthy)."""
+    if x == 0.0:
+        return (1.0 if nu == 0.0 else 0.0), True
+    log_t0 = nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)
+    if log_t0 < _UNDERFLOW_LOG:
+        return 0.0, True  # below 1e-300: zero at double precision
+    t = math.exp(log_t0)
+    total = t
+    largest = abs(t)
+    q = 0.25 * x * x
+    m = 0
+    while m < 600:
+        m += 1
+        t = -t * q / (m * (nu + m))
+        total += t
+        mag = abs(t)
+        if mag > largest:
+            largest = mag
+        if mag < 1e-17 * max(largest, abs(total)) and m > 3:
+            ok = largest <= _SERIES_CANCEL_LIMIT * max(abs(total), 1e-280)
+            return total, ok
+    return total, False
+
+
+def j_hankel(nu: float, x: float) -> tuple[float, bool]:
+    """Hankel asymptotic expansion with smallest-term monitor.
+
+    P = sum (-1)^j a_{2j}/x^{2j}, Q = sum (-1)^j a_{2j+1}/x^{2j+1} with
+    a_m = prod_{i<=m} (4 nu^2 - (2i-1)^2) / (m! 8^m); trusted only when
+    the terms reach 1e-15 before the asymptotic divergence sets in.
+    """
+    if x <= 0.0:
+        return 0.0, False
+    mu = 4.0 * nu * nu
+    p_sum = 1.0
+    q_sum = (mu - 1.0) / (8.0 * x)
+    term = q_sum
+    prev = abs(term) if term != 0.0 else 1.0
+    min_term = prev
+    ok = prev < _HANKEL_MINTERM
+    k = 1
+    while k < 200 and not ok:
+        k += 1
+        term = term * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
+        mag = abs(term)
+        if mag >= prev:  # divergence onset: stop before the blow-up
+            break
+        if k % 2 == 0:
+            p_sum += -term if k % 4 == 2 else term
+        else:
+            q_sum += -term if (k - 1) % 4 == 2 else term
+        min_term = min(min_term, mag)
+        prev = mag
+        if mag < _HANKEL_MINTERM:
+            ok = True
+    chi = x - (0.5 * nu + 0.25) * math.pi
+    value = math.sqrt(2.0 / (math.pi * x)) * (math.cos(chi) * p_sum - math.sin(chi) * q_sum)
+    return value, ok
+
+
+def _noninteger_tail(nu: float, x: float) -> float:
+    # int_0^inf exp(-nu t - x sinh t) dt; the integrand decays at least
+    # like exp(-(nu + x) t), so this truncation is conservative.
+    upper = 50.0 / max(nu + x, 1.0) + 5.0
+    t = np.linspace(0.0, upper, 2000)
+    g = np.exp(-nu * t - x * np.sinh(np.minimum(t, 700.0)))
+    return float(np.trapezoid(g, t))
+
+
+def j_integral(nu: float, x: float) -> float:
+    """Cosine integral representation by superconvergent trapezoid."""
+    if x == 0.0:
+        return 1.0 if nu == 0.0 else 0.0
+    m = _trapezoid_nodes(nu, x)
+    xi = np.linspace(0.0, math.pi, m + 1)
+    f = np.cos(nu * xi - x * np.sin(xi))
+    value = (np.sum(f) - 0.5 * (f[0] + f[-1])) / m
+    if abs(nu - round(nu)) > 1e-12:
+        value -= math.sin(nu * math.pi) / math.pi * _noninteger_tail(nu, x)
+    return float(value)
+
+
+def bessel_j_scalar(nu: float, x: float) -> float:
+    """J_nu(x) one value at a time: the series or Hankel route where its zone
+    and its monitor allow, else the cosine integral."""
+    kernel = BesselKernel.of(nu)
+    if not x >= 0:  # NaN included
+        raise ContractError("argument must be >= 0")
+    if x <= kernel.series_cutoff:
+        value, ok = j_series(kernel.nu, x)
+        if ok:
+            return value
+    elif x >= kernel.hankel_cutoff:
+        value, ok = j_hankel(kernel.nu, x)
+        if ok:
+            return value
+    return j_integral(kernel.nu, x)
 
 
 def hankel_grid_loop(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,15 @@ def test_kloosterman_symmetry():
                 assert kloosterman(a, b, c) == pytest.approx(kloosterman(b, a, c), abs=1e-9)
 
 
+def test_kloosterman_depends_on_residues_only():
+    # S(a,b;c) reads a and b mod c only; a * d for a above 2^63 / c must not
+    # wrap around in int64
+    for c in (2, 7, 94, 1009):
+        for a, b in ((1, 1), (3, 0), (c - 1, 5)):
+            assert kloosterman(a + 10 ** 17 * c, b, c) == kloosterman(a, b, c)
+            assert kloosterman(a, b - 10 ** 19 * c, c) == kloosterman(a, b, c)
+
+
 def test_kloosterman_degenerates_to_ramanujan():
     for c in range(1, 201):
         for a in (1, 7, 23, 50):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from cuspcorr.bessel import (BesselKernel, _hankel_grid, _hankel_zone, _series_zone,
-                             _trapezoid_nodes, bessel_j, bessel_j_grid, j_hankel, j_integral,
-                             j_series)
+from cuspcorr.bessel import (BesselKernel, _hankel_grid, _hankel_zone, _series_grid, _series_zone,
+                             _trapezoid_nodes, bessel_j, bessel_j_grid)
 from cuspcorr.errors import ContractError
-from oracles import hankel_grid_loop
+from oracles import bessel_j_scalar, hankel_grid_loop, j_hankel, j_integral, j_series
 
 
 def test_values_at_zero():
@@ -63,15 +62,26 @@ def test_noninteger_order():
         assert bessel_j(nu, x) == pytest.approx(jv(nu, x), abs=1e-10)
 
 
+def test_noninteger_order_integral_zone():
+    # between the zones the cosine integral's odd derivatives do not vanish
+    # at pi for non-integer nu, so a trapezoid rule is second order only
+    xs = np.linspace(0.5, 200.0, 400)
+    for nu in (0.5, 1.5, 2.25, 3.7, 5.75, 10.5, 20.25, 29.9):
+        mine = np.array([bessel_j(nu, float(x)) for x in xs])
+        assert np.max(np.abs(mine - jv(nu, xs))) <= 1e-12, nu
+
+
 def test_hankel_monitor_rejects_divergent_zone():
     # at x ~ 2 nu the expansion must flag itself untrustworthy for large nu
     val, ok = j_hankel(30.0, 61.0)
     assert not ok
+    assert not _hankel_grid(30.0, np.array([61.0]))[1][0]
 
 
 def test_series_monitor_rejects_cancellation_zone():
     val, ok = j_series(0.0, 60.0)
     assert not ok
+    assert not _series_grid(0.0, np.array([60.0]))[1][0]
 
 
 def test_underflow_region_is_negligible():
@@ -85,16 +95,30 @@ def test_grid_matches_scalar():
     kern = BesselKernel.of(11)
     grid = kern.grid(xs)
     for i in (0, 17, 100, 399):
-        assert grid[i] == pytest.approx(kern(float(xs[i])), abs=1e-12)
+        assert grid[i] == pytest.approx(bessel_j_scalar(11, float(xs[i])), abs=1e-12)
 
 
 def test_kernel_strategies_named():
+    # the zones: series up to series_cutoff, Hankel from hankel_cutoff on,
+    # the cosine integral in between
     kern = BesselKernel.of(11)
-    assert kern.strategy(1.0) == "series"
-    assert kern.strategy(15.0) == "integral"
-    assert kern.strategy(1000.0) == "asymptotic"
+    assert 1.0 <= kern.series_cutoff < 15.0 < kern.hankel_cutoff <= 1000.0
     kern30 = BesselKernel.of(30)
-    assert kern30.strategy(100.0) == "integral"  # Hankel unsafe below 0.2 nu^2
+    assert kern30.series_cutoff < 100.0 < kern30.hankel_cutoff  # Hankel unsafe below 0.2 nu^2
+
+
+@pytest.mark.parametrize("nu", [0.0, 11.0, 25.0, 0.5, 2.25])
+def test_scalar_equals_grid(nu):
+    # bessel_j is the grid evaluator on one value, bit for bit, in every zone
+    # and where a fast route's monitor hands the value to the integral
+    s, h = _series_zone(nu), _hankel_zone(nu)
+    rng = np.random.default_rng(int(10 * nu))
+    xs = np.concatenate([[0.0, 0.5 * s, s, 0.5 * (s + h), h, 1.05 * h, 3.0 * h, 60.0],
+                         rng.uniform(0.0, 1.5 * h, 60)])
+    for x in xs:
+        assert bessel_j(nu, float(x)) == bessel_j_grid(nu, [x])[0], x
+    if nu >= 11.0:  # the Hankel monitor rejects some arguments just above its cutoff
+        assert not np.all(_hankel_grid(nu, xs[xs >= h])[1])
 
 
 @pytest.mark.parametrize("nu", [0.0, 3.5, 11.0, 15.0, 25.0, 100.0])

@@ -53,6 +53,14 @@ def test_kloosterman_csv(tmp_path):
         assert abs(float(r["S(a,b;c)"])) <= float(r["weil_bound"]) + 1e-9
 
 
+def test_kloosterman_huge_a_matches_residue(tmp_path):
+    # 1 + 10^11 lcm(1..20) is above 2^63 and 1 mod every c <= 20
+    huge, one = tmp_path / "huge.csv", tmp_path / "one.csv"
+    for a, out in (("23279256000000000001", huge), ("1", one)):
+        assert main(["kloosterman", "--a", a, "--b", "1", "--cmax", "20", "--out", str(out)]) == 0
+    assert huge.read_bytes() == one.read_bytes()
+
+
 def test_kloosterman_numerical_failure_exits_two(tmp_path, monkeypatch, capsys):
     from cuspcorr import arith
     monkeypatch.setattr(arith, "IMAG_TOL", -1.0)  # every imaginary residue now fails

@@ -45,28 +45,12 @@ def test_lhs_against_reversed_order_sum(form12):
     assert val.imag == 0
 
 
-def test_identity_grid():
-    for weight in (12, 16):
-        for (b, c) in ((1, 1), (1, 2), (1, 3), (2, 5)):
-            for N in (50.0, 200.0):
-                res = voronoi_check(voronoi_instance(weight, b, c, N))
-                assert res["relative_error"] < 1e-6, (weight, b, c, N, res["relative_error"])
-
-
 def test_conjugation_symmetry():
     a = voronoi_check(voronoi_instance(12, 1, 5, 80.0))
     b = voronoi_check(voronoi_instance(12, -1, 5, 80.0))
     assert a["lhs"] == pytest.approx(np.conj(b["lhs"]), abs=1e-12)
     assert a["rhs"] == pytest.approx(np.conj(b["rhs"]), abs=1e-9)
 
-
-def test_truncation_doubling_stability():
-    base = voronoi_instance(12, 1, 3, 50.0)
-    _, diag = voronoi_rhs(base)
-    n0 = diag["n_stop"]
-    v1, _ = voronoi_rhs(voronoi_instance(12, 1, 3, 50.0, rhs_truncation=n0))
-    v2, _ = voronoi_rhs(voronoi_instance(12, 1, 3, 50.0, rhs_truncation=2 * n0))
-    assert abs(v1 - v2) < 1e-8
 
 
 def test_custom_form_insufficient_raises():
