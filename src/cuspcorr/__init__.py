@@ -6,7 +6,7 @@ Petersson spectral identity, and the experiment harness tying them together.
 
 __version__ = "0.1.0"
 
-from .arith import euler_phi, kloosterman, moebius, ramanujan_sum, reduced_fractions
+from .arith import euler_phi, kloosterman, moebius, ramanujan_sum
 from .bessel import BesselKernel, bessel_j, bessel_j_grid
 from .coeffs import Eigenform, divisor_sieve, make_eigenform
 from .errors import ContractError, EmptyCoverError, InsufficientCoefficients, NumericsError
@@ -15,7 +15,7 @@ from .windows import SmoothWindow, TransformKernel, bump_window, mellin_at, plat
 __all__ = [
     "__version__",
     "Eigenform", "make_eigenform", "divisor_sieve", "euler_phi", "moebius",
-    "ramanujan_sum", "kloosterman", "reduced_fractions", "BesselKernel", "bessel_j", "bessel_j_grid",
+    "ramanujan_sum", "kloosterman", "BesselKernel", "bessel_j", "bessel_j_grid",
     "SmoothWindow", "bump_window", "plateau_window", "mellin_at", "w_star",
     "TransformKernel", "ContractError", "EmptyCoverError",
     "InsufficientCoefficients", "NumericsError",

@@ -10,7 +10,6 @@ evaluated exactly in the weights' arithmetic by one Moebius inversion.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -173,12 +172,3 @@ def weil_bound(a: int, b: int, c: int) -> float:
     """tau(c) * gcd(a,b,c)^(1/2) * c^(1/2)."""
     g = math.gcd(math.gcd(a, b), c)
     return divisor_count(c) * math.sqrt(g) * math.sqrt(c)
-
-
-def reduced_fractions(c: int) -> list[Fraction]:
-    """All d/c with 1 <= d <= c, gcd(d,c)=1; for c=1 this is just 1."""
-    if c < 1:
-        raise ContractError("modulus must be >= 1")
-    if c == 1:
-        return [Fraction(1, 1)]
-    return [Fraction(d, c) for d in range(1, c + 1) if math.gcd(d, c) == 1]

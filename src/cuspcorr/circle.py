@@ -7,8 +7,9 @@ accumulate additively, and intervals straddling 0 or 1 are wrapped, so
 the total mass over [0,1) is exactly 1 by construction.
 
 Interval endpoints are exact rationals (delta is snapped to a dyadic with
-60 fractional bits), which makes the L2 error a finite sum over the
-segments of a sweep line with no floating-point ordering ambiguity.
+60 fractional bits), so the sweep line orders them by an integer key and a
+fraction r/c with no ambiguity, and the L2 error is a finite sum over its
+segments.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -44,17 +44,6 @@ class FareyCover:
     @property
     def n_intervals(self) -> int:
         return sum(self.phi[c] for c in self.weights)
-
-    def intervals(self) -> Iterator[tuple[Fraction, float]]:
-        """(center d/c, weight) over all reduced fractions in the cover."""
-        for c in sorted(self.weights):
-            w = self.weights[c]
-            if c == 1:
-                yield Fraction(1, 1), w
-                continue
-            for d in range(1, c):
-                if math.gcd(d, c) == 1:
-                    yield Fraction(d, c), w
 
     def height_unit(self) -> float:
         """1 / (2 delta Lambda): the height contributed per unit weight."""
@@ -90,139 +79,53 @@ def build_cover(w0, Q: float, delta: float) -> FareyCover:
     return FareyCover(Q=Q, delta=d, weights=weights, Lambda=lam, phi=phi)
 
 
-def _as_fraction(alpha) -> Fraction:
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    return Fraction(alpha)  # floats convert exactly (dyadic)
+def _sweep(cover: FareyCover) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep line: (widths, heights) of the pieces of I~ on [0,1], in order.
 
-
-def itilde_eval(cover: FareyCover, alpha) -> float:
-    """Value at alpha, right-continuous: alpha counts in [d/c - delta, d/c + delta).
-
-    Intervals are wrapped mod 1, matching the 1-periodicity of the
-    detection target.
+    Scaled by 2^60, the endpoint d/c -+ delta is K + r/c with the integer
+    K = d (2^60 // c) + d (2^60 % c) // c -+ delta 2^60 taken mod 2^60, and
+    r = d (2^60 % c) % c shared by both ends.  lexsort on (K, r/c) orders
+    the events exactly: distinct r/c differ by at least 1/(4 Q^2), and equal
+    ones round to the same float.  Heights are in weight units: the height
+    at 0 (every full turn of 2 delta >= 1, and every interval that wraps
+    past 1) plus a running sum of +-w.
     """
-    a = _as_fraction(alpha)
-    a -= math.floor(a)
-    d = cover.delta
-    total = 0.0
-    for c, w in cover.weights.items():
-        for k in (-1, 0, 1):
-            # d/c in (0,1], fraction index dd satisfies  dd/c - delta <= a + k < dd/c + delta
-            lo = (a + k - d) * c   # dd > lo (strict: right-continuous at d/c + delta)
-            hi = (a + k + d) * c   # dd <= hi (closed at d/c - delta)
-            dd_min = math.floor(lo) + 1
-            dd_max = math.floor(hi)
-            for dd in range(max(dd_min, 1), min(dd_max, c) + 1):
-                if math.gcd(dd, c) == 1:
-                    total += w
-    return total * cover.height_unit()
-
-
-class _Kahan:
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-
-def _events(cover: FareyCover) -> list[tuple[Fraction, float]]:
-    """Sweep events (position, +-weight) on [0,1], wrap-split."""
-    d = cover.delta
-    ev: list[tuple[Fraction, float]] = []
-    for center, w in cover.intervals():
-        lo = center - d
-        hi = center + d
-        shift = math.floor(lo)
-        lo -= shift
-        hi -= shift
-        while True:
-            if hi <= 1:
-                ev.append((lo, w))
-                ev.append((hi, -w))
-                break
-            ev.append((lo, w))
-            ev.append((Fraction(1), -w))
-            lo = Fraction(0)
-            hi -= 1
-    return ev
-
-
-def _segments(cover: FareyCover) -> Iterator[tuple[Fraction, Fraction, float]]:
-    """The sweep line: (start, end, height) of each piece of I~ on [0,1], in order.
-
-    Positions are exact rationals; heights use compensated accumulation of
-    the float weights.
-    """
-    ev = _events(cover)
-    ev.sort(key=lambda t: t[0])
-    unit = cover.height_unit()
-    height = _Kahan()
-    pos = Fraction(0)
-    i = 0
-    n = len(ev)
-    while i < n:
-        p = ev[i][0]
-        if p > pos:
-            yield pos, p, height.s * unit
-            pos = p
-        while i < n and ev[i][0] == p:
-            height.add(ev[i][1])
-            i += 1
-    if pos < 1:
-        yield pos, Fraction(1), height.s * unit
+    scale = 1 << _DYADIC_BITS
+    D = int(cover.delta * scale)
+    turns, rest = divmod(2 * D, scale)
+    K, frac, w = [], [], []
+    for c, wc in cover.weights.items():
+        d = np.arange(1, c + 1, dtype=np.int64)
+        d = d[np.gcd(d, c) == 1]
+        q, m = divmod(scale, c)
+        K.append(d * q + d * m // c)
+        frac.append(d * m % c / c)
+        w.append(np.full(d.size, wc))
+    K, frac, w = np.concatenate(K), np.concatenate(frac), np.concatenate(w)
+    lo = (K - D) % scale
+    hi = (lo + rest) % scale
+    start = math.fsum(w) * turns + math.fsum(w[hi < lo])
+    keys, fracs = np.concatenate((lo, hi)), np.concatenate((frac, frac))
+    order = np.lexsort((fracs, keys))
+    keys = np.concatenate(([0], keys[order], [scale]))
+    fracs = np.concatenate(([0.0], fracs[order], [0.0]))
+    widths = (np.diff(keys) + np.diff(fracs)) / scale
+    heights = start + np.concatenate(([0.0], np.cumsum(np.concatenate((w, -w))[order])))
+    return widths, heights
 
 
 def sweep_measures(cover: FareyCover) -> tuple[float, float]:
     """Exact sweep-line evaluation of (int |1-I~|^2, int I~) over [0,1]."""
-    l2_terms: list[float] = []
-    mass_terms: list[float] = []
-    for start, end, v in _segments(cover):
-        seg = float(end - start)
-        l2_terms.append((1.0 - v) * (1.0 - v) * seg)
-        mass_terms.append(v * seg)
-    return math.fsum(l2_terms), math.fsum(mass_terms)
-
-
-def l2_error(cover: FareyCover) -> float:
-    """Exact int_0^1 |1 - I~(alpha)|^2 d alpha."""
-    return sweep_measures(cover)[0]
+    widths, heights = _sweep(cover)
+    v = heights * cover.height_unit()
+    return math.fsum((1.0 - v) * (1.0 - v) * widths), math.fsum(v * widths)
 
 
 def l2_bound_ratio(cover: FareyCover, err: float) -> float:
-    """Measured error `err` (from ``l2_error`` or ``sweep_measures``) divided
-    by Q^2/(delta Lambda^2)."""
+    """Measured error `err` (``sweep_measures(cover)[0]``) divided by
+    Q^2/(delta Lambda^2)."""
     q = cover.Q
     return err / (q * q / (float(cover.delta) * cover.Lambda ** 2))
-
-
-def step_function(cover: FareyCover) -> tuple[np.ndarray, np.ndarray]:
-    """(breakpoints, heights) of I~ on [0,1): heights[i] holds on
-    [breakpoints[i], breakpoints[i+1]); float positions, for grid oracles."""
-    positions = [0.0]
-    heights = []
-    for _, end, v in _segments(cover):
-        positions.append(float(end))
-        heights.append(v)
-    return np.asarray(positions), np.asarray(heights)
-
-
-def itilde_eval_many(cover: FareyCover, alphas: np.ndarray) -> np.ndarray:
-    """Float evaluation on many points via the precomputed step function."""
-    pos, hts = step_function(cover)
-    a = np.mod(np.asarray(alphas, dtype=np.float64), 1.0)
-    idx = np.searchsorted(pos, a, side="right") - 1
-    idx = np.clip(idx, 0, len(hts) - 1)
-    return hts[idx]
 
 
 def detect_additive(cover: FareyCover, f, g, n: int) -> complex:

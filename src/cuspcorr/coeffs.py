@@ -90,9 +90,22 @@ def _eta_cubed(N: int) -> np.ndarray:
     return c
 
 
+def _sigma_sieve(power: int, N: int) -> np.ndarray:
+    """sigma_power(n) for n = 0..N-1 (entry 0 is 0) in int64, by a divisor
+    sieve: small divisors d <= sqrt(N) by strided adds, large ones by their
+    cofactor."""
+    s = np.zeros(N, dtype=np.int64)
+    r = math.isqrt(N - 1)
+    for d in range(1, r + 1):
+        s[d::d] += d ** power
+    for j in range(1, (N - 1) // (r + 1) + 1):
+        d = np.arange(r + 1, (N - 1) // j + 1, dtype=np.int64)
+        s[d * j] += d ** power
+    return s
+
+
 def sigma3_sieve(N: int) -> np.ndarray:
-    """sigma_3(n) for n = 0..N-1 (entry 0 is 0) in int64, by a divisor sieve:
-    small divisors d <= sqrt(N) by strided adds, large ones by their cofactor.
+    """sigma_3(n) for n = 0..N-1 (entry 0 is 0) in int64.
 
     sigma_3(n) < zeta(3) n^3 < 1.21 n^3 must stay below 2^63, which holds up
     to N of about 1.97e6; larger N raise rather than wrap.
@@ -101,14 +114,7 @@ def sigma3_sieve(N: int) -> np.ndarray:
         raise ContractError("need N >= 1")
     if 121 * (N - 1) ** 3 >= 100 * 2 ** 63:
         raise ContractError(f"sigma_3 up to N={N} can overflow int64 (limit about N=1.97e6)")
-    s = np.zeros(N, dtype=np.int64)
-    r = math.isqrt(N - 1)
-    for d in range(1, r + 1):
-        s[d::d] += d ** 3
-    for j in range(1, (N - 1) // (r + 1) + 1):
-        d = np.arange(r + 1, (N - 1) // j + 1, dtype=np.int64)
-        s[d * j] += d ** 3
-    return s
+    return _sigma_sieve(3, N)
 
 
 def make_eigenform(weight: int, N: int) -> Eigenform:
@@ -148,21 +154,11 @@ def make_eigenform(weight: int, N: int) -> Eigenform:
     return form
 
 
-def divisor_sieve(k: int, N: int) -> np.ndarray:
-    """tau_k(n) for n = 0..N (entry 0 is 0), by iterated Dirichlet convolution
-    with the constant function 1."""
-    if k < 2:
-        raise ContractError("fold must be >= 2")
+def divisor_sieve(N: int) -> np.ndarray:
+    """The divisor function tau(n) = sigma_0(n) for n = 0..N (entry 0 is 0)."""
     if N < 1:
         raise ContractError("need N >= 1")
-    t = np.ones(N + 1, dtype=np.int64)
-    t[0] = 0
-    for _ in range(k - 1):
-        out = np.zeros(N + 1, dtype=np.int64)
-        for d in range(1, N + 1):
-            out[d::d] += t[d]
-        t = out
-    return t
+    return _sigma_sieve(0, N + 1)
 
 
 def hecke_relation_report(form: Eigenform, M: int) -> dict:

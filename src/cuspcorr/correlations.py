@@ -156,7 +156,7 @@ def divisor_main_term(cfg: ExperimentConfig, d_max: int, enforce_tail: bool = Tr
         raise ContractError("need d_max >= 1")
     X, H = cfg.X, cfg.H
     hs = _h_range(H)
-    tau = divisor_sieve(2, 2 * X + int(hs[-1]) + 1).astype(np.float64)
+    tau = divisor_sieve(2 * X + int(hs[-1]) + 1).astype(np.float64)
     a = cfg.sequence()
     exact_lhs = _shifted_sum(a, tau, tau, X, H, hs)
 

@@ -1,7 +1,7 @@
 """Smooth compactly supported weights and their integral transforms.
 
-Contents: the canonical exponential bump on [1,2] with analytic
-derivatives; smooth plateau windows; Mellin evaluation; the transform
+Contents: the canonical exponential bump on [1,2]; smooth plateau
+windows; Mellin evaluation; the transform
   wstar(z, w) = int W(y) J_nu(4 pi sqrt(y w + z)) dy
 with its two-term oscillatory decomposition; and the holomorphic / Maass
 integral transforms attached to a scaled, twisted test function
@@ -34,65 +34,21 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_U_FLOOR = 1.0 / 700.0  # below this, exp(-1/u) * u^(-k) underflows for k <= 8
+_U_FLOOR = 1.0 / 700.0  # the bump exp(-1/u) is taken as 0 below this (exp(-700) ~ 1e-304)
 _TRANSFORM_TOL = 1e-10  # absolute tolerance of w_star and the two Kuznetsov transforms
 
 
 @dataclass(frozen=True)
 class SmoothWindow:
-    """Compactly supported smooth weight, optionally modulated by e(eta x).
-
-    value/deriv evaluate the unmodulated base window; calling the window
-    includes the modulation factor exp(2 pi i eta x) when eta != 0.
-    """
+    """Compactly supported smooth weight: base_value on its support."""
 
     base_value: Callable[[np.ndarray], np.ndarray]
-    base_deriv: Callable[[int, np.ndarray], np.ndarray] | None
     support: tuple[float, float]
-    eta: float = 0.0
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        v = self.base_value(x)
-        if self.eta == 0.0:
-            return v
-        return v * np.exp(2j * math.pi * self.eta * x)
-
-    def value(self, x):
         return self.base_value(np.asarray(x, dtype=np.float64))
 
-    def deriv(self, j: int, x):
-        """j-th derivative of the modulated window (Leibniz over e(eta x))."""
-        if self.base_deriv is None:
-            raise ContractError("this window does not provide derivatives")
-        if j < 0 or j > 4:
-            raise ContractError("derivatives available for 0 <= j <= 4")
-        x = np.asarray(x, dtype=np.float64)
-        if self.eta == 0.0:
-            return self.base_deriv(j, x)
-        rot = 2j * math.pi * self.eta
-        total = np.zeros(x.shape, dtype=np.complex128)
-        for i in range(j + 1):
-            total += math.comb(j, i) * self.base_deriv(j - i, x) * rot ** i
-        return total * np.exp(rot * x)
-
-    def modulated(self, eta: float) -> "SmoothWindow":
-        return SmoothWindow(self.base_value, self.base_deriv, self.support, eta)
-
-
-def _bump_g_derivs(x: np.ndarray) -> list[np.ndarray]:
-    """g = -1/u with u = (x-1)(2-x); returns [g', g'', g''', g''''].
-
-    u' = 3 - 2x, u'' = -2, higher derivatives vanish.
-    """
-    u = (x - 1.0) * (2.0 - x)
-    up = 3.0 - 2.0 * x
-    iu = 1.0 / u
-    g1 = iu * iu * up
-    g2 = -2.0 * iu ** 3 * up * up - 2.0 * iu * iu
-    g3 = 6.0 * iu ** 4 * up ** 3 + 12.0 * iu ** 3 * up
-    g4 = -24.0 * iu ** 5 * up ** 4 - 72.0 * iu ** 4 * up * up - 24.0 * iu ** 3
-    return [g1, g2, g3, g4]
+    value = __call__
 
 
 def _bump_value(x: np.ndarray) -> np.ndarray:
@@ -106,34 +62,9 @@ def _bump_value(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_deriv(j: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if j == 0:
-        return _bump_value(x)
-    u = (x - 1.0) * (2.0 - x)
-    inside = u > _U_FLOOR
-    out = np.zeros(x.shape, dtype=np.float64)
-    if not np.any(inside):
-        return out
-    xi = x[inside]
-    w = np.exp(-1.0 / u[inside])
-    g1, g2, g3, g4 = _bump_g_derivs(xi)
-    if j == 1:
-        out[inside] = g1 * w
-    elif j == 2:
-        out[inside] = (g2 + g1 ** 2) * w
-    elif j == 3:
-        out[inside] = (g3 + 3.0 * g1 * g2 + g1 ** 3) * w
-    elif j == 4:
-        out[inside] = (g4 + 4.0 * g1 * g3 + 3.0 * g2 ** 2 + 6.0 * g1 ** 2 * g2 + g1 ** 4) * w
-    else:
-        raise ContractError("derivatives available for 0 <= j <= 4")
-    return out
-
-
-def bump_window(eta: float = 0.0) -> SmoothWindow:
+def bump_window() -> SmoothWindow:
     """The canonical bump exp(-1/((x-1)(2-x))) on (1,2), zero elsewhere."""
-    return SmoothWindow(_bump_value, _bump_deriv, (1.0, 2.0), eta)
+    return SmoothWindow(_bump_value, (1.0, 2.0))
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -162,7 +93,7 @@ def plateau_window(a: float, b: float, c: float, d: float) -> SmoothWindow:
         fall = _smoothstep((d - x) / (d - c))
         return rise * fall
 
-    return SmoothWindow(value, None, (a, d))
+    return SmoothWindow(value, (a, d))
 
 
 def mellin_at(window: SmoothWindow, s: complex) -> complex:
@@ -193,7 +124,7 @@ def w_star(window: SmoothWindow, kappa: int, z: float, w: float) -> complex:
         return window(y) * kernel.grid(arg)
 
     # phase 2 sqrt(yw+z) has derivative w / sqrt(yw+z) <= |w| / sqrt(z/2)
-    cycles = (abs(w) / math.sqrt(0.5 * z) + abs(window.eta)) * (hi - lo)
+    cycles = abs(w) / math.sqrt(0.5 * z) * (hi - lo)
     return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL))
 
 
@@ -308,7 +239,7 @@ class TransformKernel:
     def zero(self) -> "TransformKernel":
         """Same shape with an identically-zero window (test hook)."""
         zero_win = SmoothWindow(lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                                None, self.window.support)
+                                self.window.support)
         return TransformKernel(self.Z, self.alpha, self.tau, self.sign, zero_win)
 
     def x_cycles(self) -> float:

@@ -1,8 +1,11 @@
 """Slow direct implementations kept as oracles for the fast paths in src.
 
-The first three were the production paths of the functions they check:
+The first four were the production paths of the functions they check:
 - `detect_additive_fft`: the additive detector by residue-class folds, one
   FFT per modulus, and a 16-node Gauss-Legendre eta-average;
+- `sweep_measures_fraction`: the Farey cover's sweep line on exact
+  `Fraction` events with a Python sort and compensated heights, with its
+  step function and the pointwise `itilde_eval` beside it;
 - `divisor_blocks_loop`: the divisor main term and tail proxy by an
   O(X d_max) gcd loop over d;
 - `unit_inverses_prefix`: the unit inverses mod c by prefix products and a
@@ -27,6 +30,7 @@ The first three were the production paths of the functions they check:
 
 import functools
 import math
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -85,6 +89,130 @@ def detect_additive_fft(cover, f, g, n: int) -> complex:
             acc += wq * inner * np.exp(-2j * math.pi * target * eta)
         total += w * acc
     return complex(total / (2.0 * delta * cover.Lambda))
+
+
+def _cover_intervals(cover):
+    """(center d/c, weight) over all reduced fractions in the cover."""
+    for c in sorted(cover.weights):
+        w = cover.weights[c]
+        if c == 1:
+            yield Fraction(1, 1), w
+            continue
+        for d in range(1, c):
+            if math.gcd(d, c) == 1:
+                yield Fraction(d, c), w
+
+
+class _Kahan:
+    __slots__ = ("s", "c")
+
+    def __init__(self):
+        self.s = 0.0
+        self.c = 0.0
+
+    def add(self, x: float):
+        y = x - self.c
+        t = self.s + y
+        self.c = (t - self.s) - y
+        self.s = t
+
+
+def _fraction_events(cover) -> list[tuple[Fraction, float]]:
+    """Sweep events (position, +-weight) on [0,1], wrap-split."""
+    d = cover.delta
+    ev: list[tuple[Fraction, float]] = []
+    for center, w in _cover_intervals(cover):
+        lo = center - d
+        hi = center + d
+        shift = math.floor(lo)
+        lo -= shift
+        hi -= shift
+        while True:
+            if hi <= 1:
+                ev.append((lo, w))
+                ev.append((hi, -w))
+                break
+            ev.append((lo, w))
+            ev.append((Fraction(1), -w))
+            lo = Fraction(0)
+            hi -= 1
+    return ev
+
+
+def _fraction_segments(cover):
+    """(start, end, height) of each piece of I~ on [0,1], in order, with
+    exact rational positions and compensated accumulation of the heights."""
+    ev = _fraction_events(cover)
+    ev.sort(key=lambda t: t[0])
+    unit = cover.height_unit()
+    height = _Kahan()
+    pos = Fraction(0)
+    i = 0
+    n = len(ev)
+    while i < n:
+        p = ev[i][0]
+        if p > pos:
+            yield pos, p, height.s * unit
+            pos = p
+        while i < n and ev[i][0] == p:
+            height.add(ev[i][1])
+            i += 1
+    if pos < 1:
+        yield pos, Fraction(1), height.s * unit
+
+
+def sweep_measures_fraction(cover) -> tuple[float, float]:
+    """(int |1-I~|^2, int I~) over [0,1] by the Fraction sweep line."""
+    l2_terms: list[float] = []
+    mass_terms: list[float] = []
+    for start, end, v in _fraction_segments(cover):
+        seg = float(end - start)
+        l2_terms.append((1.0 - v) * (1.0 - v) * seg)
+        mass_terms.append(v * seg)
+    return math.fsum(l2_terms), math.fsum(mass_terms)
+
+
+def step_function_fraction(cover) -> tuple[np.ndarray, np.ndarray]:
+    """(breakpoints, heights) of I~ on [0,1): heights[i] holds on
+    [breakpoints[i], breakpoints[i+1]); float positions, for grid oracles."""
+    positions = [0.0]
+    heights = []
+    for _, end, v in _fraction_segments(cover):
+        positions.append(float(end))
+        heights.append(v)
+    return np.asarray(positions), np.asarray(heights)
+
+
+def itilde_eval(cover, alpha) -> float:
+    """Value at alpha, right-continuous: alpha counts in [d/c - delta, d/c + delta).
+
+    Intervals are wrapped mod 1, matching the 1-periodicity of the
+    detection target.  Floats convert to Fraction exactly.
+    """
+    a = Fraction(alpha)
+    a -= math.floor(a)
+    d = cover.delta
+    total = 0.0
+    for c, w in cover.weights.items():
+        for k in (-1, 0, 1):
+            # d/c in (0,1], fraction index dd satisfies  dd/c - delta <= a + k < dd/c + delta
+            lo = (a + k - d) * c   # dd > lo (strict: right-continuous at d/c + delta)
+            hi = (a + k + d) * c   # dd <= hi (closed at d/c - delta)
+            dd_min = math.floor(lo) + 1
+            dd_max = math.floor(hi)
+            for dd in range(max(dd_min, 1), min(dd_max, c) + 1):
+                if math.gcd(dd, c) == 1:
+                    total += w
+    return total * cover.height_unit()
+
+
+def itilde_eval_many(cover, alphas: np.ndarray) -> np.ndarray:
+    """Float evaluation on many points via the Fraction step function."""
+    pos, hts = step_function_fraction(cover)
+    a = np.mod(np.asarray(alphas, dtype=np.float64), 1.0)
+    idx = np.searchsorted(pos, a, side="right") - 1
+    idx = np.clip(idx, 0, len(hts) - 1)
+    return hts[idx]
 
 
 def divisor_blocks_loop(cfg, d_max: int) -> tuple[float, float]:

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcorr.arith import (_unit_inverses, divisor_count, euler_phi, kloosterman,
-                            moebius, mu_phi_sieve, ramanujan_sum, ramanujan_weighted,
-                            reduced_fractions, weil_bound)
+                            moebius, mu_phi_sieve, ramanujan_sum, ramanujan_weighted, weil_bound)
 from cuspcorr.errors import ContractError
 from oracles import ramanujan_sum_bruteforce, unit_inverses_prefix
 
@@ -91,13 +89,6 @@ def test_twisted_multiplicativity():
                 rhs = (kloosterman(a * c2bar, b * c2bar, c1)
                        * kloosterman(a * c1bar, b * c1bar, c2))
                 assert lhs == pytest.approx(rhs, abs=1e-9)
-
-
-def test_reduced_fractions():
-    assert reduced_fractions(1) == [Fraction(1, 1)]
-    assert reduced_fractions(4) == [Fraction(1, 4), Fraction(3, 4)]
-    assert reduced_fractions(6) == [Fraction(1, 6), Fraction(5, 6)]
-    assert len(reduced_fractions(100)) == euler_phi(100)
 
 
 @settings(max_examples=50, deadline=None)

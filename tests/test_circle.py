@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cuspcorr.circle import (build_cover, detect_additive, itilde_eval, itilde_eval_many,
-                             l2_bound_ratio, l2_error, snap_dyadic, step_function,
+from cuspcorr.circle import (_sweep, build_cover, detect_additive, l2_bound_ratio, snap_dyadic,
                              sweep_measures)
 from cuspcorr.errors import ContractError, EmptyCoverError
 from cuspcorr.windows import bump_window
-from oracles import detect_additive_fft
+from oracles import (detect_additive_fft, itilde_eval, itilde_eval_many, step_function_fraction,
+                     sweep_measures_fraction)
 
 W0 = bump_window()
 
@@ -67,14 +67,38 @@ def test_lambda_against_independent_totient_sum():
     assert cov.Lambda == pytest.approx(ref, rel=1e-12)
 
 
+def _assert_matches_fraction_sweep(cov):
+    assert _sweep(cov)[0].min() >= 0.0  # the events are in exact order
+    l2, mass = sweep_measures(cov)
+    l2_ref, mass_ref = sweep_measures_fraction(cov)
+    assert abs(l2 - l2_ref) <= 1e-14 * l2_ref
+    assert abs(mass - mass_ref) <= 1e-12
+    return mass
+
+
 def test_mass_identity_random_parameters():
     rng = np.random.default_rng(8)
     for _ in range(20):
         Q = int(rng.integers(5, 80))
         expo = rng.uniform(1.0, 2.0)
-        cov = build_cover(W0, Q, Q ** -expo)
-        _, mass = sweep_measures(cov)
+        mass = _assert_matches_fraction_sweep(build_cover(W0, Q, Q ** -expo))
         assert mass == pytest.approx(1.0, abs=1e-12)
+    for Q in (25, 50, 100, 200):
+        _assert_matches_fraction_sweep(build_cover(W0, Q, Q ** -1.5))
+    # 2 delta >= 1: every interval also wraps whole turns around [0,1)
+    _assert_matches_fraction_sweep(build_cover(W0, 1.5, 2 / 3))
+    assert sweep_measures(build_cover(single_c_hook, 1, 1.0)) == (0.0, 1.0)
+    _assert_matches_fraction_sweep(build_cover(single_c_hook, 1, 1.0))
+    # exact ties: 1/8 + 1/16 = 1/4 - 1/16 across c = 8 and 4, and
+    # 1/6 + 1/4 = 2/3 - 1/4 across c = 6 and 3 (equal nonzero r/c)
+    for Q, delta in ((4, 1 / 16), (3, 1 / 4)):
+        cov = build_cover(np.ones_like, Q, delta)
+        _assert_matches_fraction_sweep(cov)
+        # equal endpoints merge: as many pieces of positive width as the exact sweep
+        assert np.count_nonzero(_sweep(cov)[0]) == len(step_function_fraction(cov)[1])
+    # 1/10 + delta and 1/7 - delta differ by under 2^-60, so they share the
+    # integer key and only r/c orders them
+    _assert_matches_fraction_sweep(build_cover(np.ones_like, 7, 3 / 140))
 
 
 def test_l2_error_riemann_oracle():
@@ -87,7 +111,7 @@ def test_l2_error_riemann_oracle():
 
 
 def test_l2_error_decreases_with_Q():
-    errs = [l2_error(build_cover(W0, Q, Q ** -1.5)) for Q in (25, 50, 100, 200)]
+    errs = [sweep_measures(build_cover(W0, Q, Q ** -1.5))[0] for Q in (25, 50, 100, 200)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     for Q, e in zip((25, 50, 100, 200), errs):
         cov = build_cover(W0, Q, Q ** -1.5)
@@ -97,7 +121,7 @@ def test_l2_error_decreases_with_Q():
 def test_step_function_reproduces_sweep_measures():
     for Q, expo in ((20, 1.4), (50, 1.5), (37, 1.9)):
         cov = build_cover(W0, Q, Q ** -expo)
-        pos, hts = step_function(cov)
+        pos, hts = step_function_fraction(cov)
         widths = np.diff(pos)
         l2, mass = sweep_measures(cov)
         assert pos[0] == 0.0 and pos[-1] == 1.0 and len(hts) == len(widths)
@@ -108,9 +132,22 @@ def test_step_function_reproduces_sweep_measures():
 def test_l2_bound_ratio_divides_by_envelope():
     Q = 50
     cov = build_cover(W0, Q, Q ** -1.5)
-    err = l2_error(cov)
+    err = sweep_measures(cov)[0]
     envelope = Q * Q / (float(cov.delta) * cov.Lambda ** 2)
     assert l2_bound_ratio(cov, err) == pytest.approx(err / envelope, rel=1e-15)
+
+
+def test_l2_bound_ratio_at_large_Q():
+    ratios = []
+    for Q in (400, 800):
+        cov = build_cover(W0, Q, Q ** -1.5)
+        err, mass = sweep_measures(cov)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        ratios.append(l2_bound_ratio(cov, err))
+    # the envelope Q^2/(delta Lambda^2) tracks the error: the ratio stays
+    # far below the bound of 10 and moves by under 5 % as Q doubles
+    assert all(0.0 < r < 10.0 for r in ratios)
+    assert ratios[1] == pytest.approx(ratios[0], rel=0.05)
 
 
 def test_step_function_consistent_with_exact_eval():

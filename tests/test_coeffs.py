@@ -54,16 +54,13 @@ def test_hecke_report_small():
 
 
 def test_divisor_sieve_values():
-    t2 = divisor_sieve(2, 10)
+    t2 = divisor_sieve(10)
     assert t2[6] == 4
     assert t2[1] == 1
-    t3 = divisor_sieve(3, 6)
-    # ordered triples with product 4: (1,1,4)x3, (1,2,2)x3
-    triples = sum(1 for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)
-                  if a * b * c == 4)
-    assert t3[4] == triples == 6
+    for N in (1, 2, 97, 5000):
+        assert divisor_sieve(N).tolist() == sigma_table(0, N + 1)
     with pytest.raises(ContractError):
-        divisor_sieve(1, 10)
+        divisor_sieve(0)
 
 
 def test_partial_sum_bound(form12, form16):

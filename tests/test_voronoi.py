@@ -9,7 +9,7 @@ from oracles import voronoi_rhs_sequential
 
 
 def zero_window():
-    return SmoothWindow(lambda x: np.zeros_like(np.asarray(x, dtype=float)), None, (1.0, 2.0))
+    return SmoothWindow(lambda x: np.zeros_like(np.asarray(x, dtype=float)), (1.0, 2.0))
 
 
 def test_contracts():
