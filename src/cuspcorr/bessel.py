@@ -35,7 +35,6 @@ from .quadrature import panel_rule
 _SERIES_CANCEL_LIMIT = 1e4      # max-term / result before the series is rejected
 _HANKEL_MINTERM = 1e-15         # smallest asymptotic term we must reach
 _UNDERFLOW_LOG = -745.0
-_GRID_VALUES = 8192             # arguments per grid call for callers that batch rows
 
 
 def _series_zone(nu: float) -> float:

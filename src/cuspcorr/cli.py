@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ContractError(f"{what} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ContractError(f"{what} must be finite, got {text!r}")
+    return value
+
+
 def _parse_params(raw: str) -> dict:
     out = {}
     if not raw:
@@ -97,7 +108,7 @@ def _parse_params(raw: str) -> dict:
         try:
             out[key.strip()] = int(val)
         except ValueError:
-            out[key.strip()] = float(val)
+            out[key.strip()] = _finite(val, f"parameter {key.strip()}")
     return out
 
 
@@ -105,7 +116,11 @@ def _parse_grid(raw: str) -> np.ndarray:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ContractError("grid must be lo:hi:count")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _finite(parts[0], "grid lo"), _finite(parts[1], "grid hi")
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ContractError(f"grid count must be an integer, got {parts[2]!r}") from None
     if count < 1:
         raise ContractError("grid count must be >= 1")
     return np.linspace(lo, hi, count)
@@ -157,31 +172,26 @@ def _cmd_voronoi(args) -> None:
 def _cmd_transform(args) -> None:
     params = _parse_params(args.params)
     grid = _parse_grid(args.grid)
-    rows = []
     if args.kind == "wstar":
         kappa = int(params.pop("kappa", 12))
         w = float(params.pop("w", 1.0))
         _reject_unknown(params)
-        for z in grid:
-            val = w_star(bump_window(), kappa, float(z), w)
-            rows.append({"z": float(z), "re": val.real, "im": val.imag})
+        key, points = "z", grid.tolist()
+        vals = w_star(bump_window(), kappa, grid, w)
     else:
         Z = float(params.pop("Z", 50.0))
         alpha = float(params.pop("alpha", 0.0))
         tau = float(params.pop("tau", 0.0))
         _reject_unknown(params)
         phi = TransformKernel(Z=Z, alpha=alpha, tau=tau)
-        for x in grid:
-            if args.kind == "dot":
-                k = int(round(x))
-                if k % 2 or k < 2:
-                    raise ContractError("dot transform grid must contain even k >= 2")
-                val = kuznetsov_transform_dot(phi, k)
-                rows.append({"k": k, "re": val.real, "im": val.imag})
-            else:
-                val = kuznetsov_transform_tilde(phi, float(x))
-                rows.append({"t": float(x), "re": val.real, "im": val.imag})
-    write_csv(args.out, rows)
+        if args.kind == "dot":
+            key, points = "k", [int(round(x)) for x in grid.tolist()]
+            vals = kuznetsov_transform_dot(phi, points)
+        else:
+            key, points = "t", grid.tolist()
+            vals = kuznetsov_transform_tilde(phi, grid)
+    write_csv(args.out, [{key: p, "re": v.real, "im": v.imag}
+                         for p, v in zip(points, vals.tolist())])
 
 
 def _cmd_petersson(args) -> None:

@@ -24,7 +24,7 @@ from .qseries import crt_lift, crt_primes, mul_mod
 SUPPORTED_WEIGHTS = (12, 16)
 
 
-def eta_power_qexp_naive(exponent: int, N: int) -> list[int]:
+def eta_power_qexp_naive(exponent: int, N: int) -> tuple[int, ...]:
     """q * prod(1-q^n)^exponent with the factors multiplied out one by one.
 
     Entry n-1 is the coefficient of q^n (the leading q is factored in), so
@@ -39,7 +39,7 @@ def eta_power_qexp_naive(exponent: int, N: int) -> list[int]:
         for _ in range(exponent):
             for i in range(N - 1, n - 1, -1):
                 c[i] -= c[i - n]
-    return c
+    return tuple(c)
 
 
 @dataclass
@@ -51,7 +51,7 @@ class Eigenform:
     """
 
     weight: int
-    a: list[int]
+    a: tuple[int, ...]
     lam: np.ndarray = field(repr=False)
     canonical: bool = False  # built by make_eigenform (tables may be regrown)
 
@@ -144,7 +144,7 @@ def make_eigenform(weight: int, N: int) -> Eigenform:
             e4[0] = 1
             r = mul_mod(r, e4, p, N)
         residues.append(r)
-    a = [0] + crt_lift(residues, primes)  # entry n = coefficient of q^n
+    a = (0, *crt_lift(residues, primes))  # entry n = coefficient of q^n; a tuple, shared through the cache
     n = np.arange(N + 1, dtype=np.float64)
     n[0] = 1.0
     lam = np.array([float(x) for x in a], dtype=np.float64) / n ** ((weight - 1) / 2.0)

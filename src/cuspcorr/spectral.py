@@ -24,9 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import _unit_inverses
-from .bessel import _GRID_VALUES, BesselKernel
+from .bessel import BesselKernel
 from .coeffs import make_eigenform
 from .errors import ContractError, NumericsError
+from .quadrature import _GRID_VALUES
 
 DIMENSION_ONE_WEIGHTS = (12, 16, 18, 20, 22, 26)
 DEFAULT_CMAX = 1000

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _GRID_VALUES, BesselKernel
+from .bessel import BesselKernel
 from .coeffs import Eigenform, make_eigenform
 from .errors import ContractError, InsufficientCoefficients, NumericsError
-from .quadrature import panel_rule
+from .quadrature import _GRID_VALUES, panel_rule
 from .windows import SmoothWindow, bump_window
 
 EPS0 = 1e-300

@@ -13,6 +13,11 @@ cos(x cosh u) cos(2 t u) du, which we evaluate on a bent contour
 (real leg, quarter-turn, then parallel to the real axis at height pi/2
 where cosh picks up a decaying real exponential).  No complex-order
 Bessel function is ever evaluated directly.
+
+The transforms take a number or an array for the swept variable (z, k or
+t) and integrate the whole array in one `osc_quad_rows` call, one row per
+value; the Maass kernel runs over the (x, t) pairs of every outer node at
+once.  Rows do not interact, so a value has the same bits in any grid.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .bessel import BesselKernel
 from .errors import ContractError, NumericsError
-from .quadrature import GL_ORDER, gl_nodes_weights, osc_quad, panel_rule
+from .quadrature import _GRID_VALUES, _row_sums, gl_nodes_weights, osc_quad, osc_quad_rows
 
 __all__ = [
     "SmoothWindow", "bump_window", "plateau_window", "mellin_at",
@@ -108,39 +113,38 @@ def mellin_at(window: SmoothWindow, s: complex) -> complex:
     return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=1e-12))
 
 
-def w_star(window: SmoothWindow, kappa: int, z: float, w: float) -> complex:
+def _per_point(arg, values: np.ndarray):
+    """values as one complex number when the swept argument was a number."""
+    return complex(values[0]) if np.ndim(arg) == 0 else values
+
+
+def w_star(window: SmoothWindow, kappa: int, z, w: float):
     """int W(y) J_(kappa-1)(4 pi sqrt(y w + z)) dy over the support of W.
 
-    Requires z >= 4|w| > 0, which keeps the Bessel argument away from the
-    origin for either sign of w.
+    z is a number (the value is a complex number) or an array (an array of
+    values, from w_star_grid).  Requires z >= 4|w| > 0, which keeps the
+    Bessel argument away from the origin for either sign of w.
     """
-    if not (w != 0.0 and z >= 4.0 * abs(w)):
+    return _per_point(z, w_star_grid(window, kappa, z, w))
+
+
+def w_star_grid(window: SmoothWindow, kappa: int, z_grid, w: float) -> np.ndarray:
+    """w_star at every z of an array, each with its own adaptive rule
+    (osc_quad_rows); a value does not depend on the rest of the grid."""
+    z = np.atleast_1d(np.asarray(z_grid, dtype=np.float64))
+    if w == 0.0 or not np.all(z >= 4.0 * abs(w)):  # NaN fails too
         raise ContractError("w_star requires z >= 4|w| > 0")
     kernel = BesselKernel.of(kappa - 1)
     lo, hi = window.support
 
-    def integrand(y):
-        arg = 4.0 * math.pi * np.sqrt(y * w + z)
+    def integrand(y, rows):
+        arg = 4.0 * math.pi * np.sqrt(y * w + z[rows, None])
         return window(y) * kernel.grid(arg)
 
     # phase 2 sqrt(yw+z) has derivative w / sqrt(yw+z) <= |w| / sqrt(z/2)
-    cycles = abs(w) / math.sqrt(0.5 * z) * (hi - lo)
-    return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL))
-
-
-def w_star_grid(window: SmoothWindow, kappa: int, z_grid: np.ndarray, w: float,
-                nodes: int = 64) -> np.ndarray:
-    """w_star sampled over a z grid with a fixed-node rule (fast path)."""
-    z_grid = np.asarray(z_grid, dtype=np.float64)
-    if np.any(z_grid < 4.0 * abs(w)) or w == 0.0:
-        raise ContractError("w_star requires z >= 4|w| > 0")
-    kernel = BesselKernel.of(kappa - 1)
-    lo, hi = window.support
-    y, wq = panel_rule(lo, hi, max(1, nodes // GL_ORDER))
-    wy = window(y)
-    args = 4.0 * math.pi * np.sqrt(y[None, :] * w + z_grid[:, None])
-    jv = kernel.grid(args)
-    return jv @ (wy * wq)
+    cycles = abs(w) / np.sqrt(0.5 * z) * (hi - lo)
+    vals = osc_quad_rows(integrand, lo, hi, cycles, tol=_TRANSFORM_TOL)
+    return vals.astype(np.complex128)
 
 
 def extract_oscillatory_parts(window: SmoothWindow, kappa: int, w: float,
@@ -247,18 +251,30 @@ class TransformKernel:
         return ((1.0 + abs(self.alpha)) / TWO_PI + abs(self.tau) / (TWO_PI * lo + 1e-300)) * (hi - lo)
 
 
-def kuznetsov_transform_dot(phi: TransformKernel, k: int) -> complex:
-    """4 i^k int phi(x) J_(k-1)(x) dx / x for even k >= 2."""
-    if k < 2 or k % 2:
+def kuznetsov_transform_dot(phi: TransformKernel, k):
+    """4 i^k int phi(x) J_(k-1)(x) dx / x for even k >= 2.
+
+    k is a number (the value is a complex number) or an array (an array of
+    values).  Every k shares one rule per refinement level, so phi(x)/x is
+    computed once per level.
+    """
+    ks = np.atleast_1d(np.asarray(k)).tolist()
+    if not all(kk >= 2 and kk % 2 == 0 for kk in ks):
         raise ContractError("holomorphic transform needs even k >= 2")
-    kernel = BesselKernel.of(k - 1)
+    kernels = [BesselKernel.of(kk - 1) for kk in ks]
     lo, hi = phi.support
+    level = (0, None)  # node count of the current rule, phi(x)/x on it
 
-    def integrand(x):
-        return phi(x) * kernel.grid(x) / x
+    def integrand(x, rows):
+        nonlocal level
+        nodes = x[0]  # every row has the same rule
+        if level[0] != nodes.size:
+            level = (nodes.size, phi(nodes) / nodes)
+        return np.stack([level[1] * kernels[r].grid(nodes) for r in rows.tolist()])
 
-    val = osc_quad(integrand, lo, hi, cycles=phi.x_cycles(), tol=_TRANSFORM_TOL)
-    return 4.0 * (1j ** k) * complex(val)
+    vals = osc_quad_rows(integrand, np.full(len(ks), lo), hi, phi.x_cycles(), tol=_TRANSFORM_TOL)
+    return _per_point(k, np.array([4.0 * (1j ** int(kk)) * complex(v)
+                                   for kk, v in zip(ks, vals.tolist())]))
 
 
 def dot_decay_slope(phi: TransformKernel) -> dict:
@@ -272,61 +288,71 @@ def dot_decay_slope(phi: TransformKernel) -> dict:
     Z = phi.Z
     ceil_z = int(math.ceil(Z))  # >= 1, since TransformKernel requires Z > 0
     ks = sorted({2 * int(round(k / 2)) for k in np.geomspace(2 * ceil_z, 20 * ceil_z, 12)})
-    mags = []
-    for k in ks:
-        mags.append(max(abs(kuznetsov_transform_dot(phi, k)), 1e-250))
+    mags = np.maximum(np.abs(kuznetsov_transform_dot(phi, ks)), 1e-250)
     lx = np.log1p(np.array(ks, dtype=float) / Z)
-    ly = np.log(np.array(mags))
-    slope = float(np.polyfit(lx, ly, 1)[0])
-    return {"slope": slope, "k": ks, "magnitude": mags}
+    slope = float(np.polyfit(lx, np.log(mags), 1)[0])
+    return {"slope": slope, "k": ks, "magnitude": mags.tolist()}
 
 
-def _cos_cosh_kernel(x: float, t: float) -> float:
-    """int_0^inf cos(x cosh u) cos(2 t u) du via a bent contour (x > 0)."""
-    if x <= 0:
+_LEG_NODES = 48  # Gauss-Legendre nodes on each of the two closing legs of the contour
+
+
+def _cos_cosh_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_0^inf cos(x cosh u) cos(2 t u) du via a bent contour, for each
+    pair (x[i], t[i]) of two 1-D arrays (x > 0).
+
+    Pairs do not interact, so a pair's value has the same bits in any batch.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(x > 0):
         raise ContractError("kernel defined for x > 0")
     # leg 3 becomes negligible once x sinh A >= 40 + pi |t|
-    target = (40.0 + math.pi * abs(t)) / x
-    A = math.asinh(target)
+    A = np.arcsinh((40.0 + math.pi * np.abs(t)) / x)
 
-    def leg1(u):
-        return np.exp(1j * x * np.cosh(u)) * np.cos(2.0 * t * u)
+    def leg1(u, rows):
+        return np.exp(1j * x[rows, None] * np.cosh(u)) * np.cos(2.0 * t[rows, None] * u)
 
-    cycles1 = x * math.sinh(A) * A / TWO_PI + 1.0
-    i1 = osc_quad(leg1, 0.0, A, cycles=cycles1, tol=1e-12)
+    cycles1 = x * np.sinh(A) * A / TWO_PI + 1.0
+    i1 = osc_quad_rows(leg1, 0.0, A, cycles1, tol=1e-12)
 
-    # vertical quarter-turn u = A + i s, s in [0, pi/2]
-    s, ws = gl_nodes_weights(0.0, 0.5 * math.pi, 48)
-    uu = A + 1j * s
-    vals = np.exp(1j * x * np.cosh(uu)) * np.cos(2.0 * t * uu)
-    i2 = 1j * np.sum(vals * ws)
-
-    # horizontal leg u = v + i pi/2: cosh -> i sinh v, pure decay
-    v_hi = math.asinh(745.0 / x)
-    v, wv = gl_nodes_weights(A, max(v_hi, A + 1e-6), 48)
-    uu = v + 0.5j * math.pi
-    vals = np.exp(-x * np.sinh(v)) * np.cos(2.0 * t * uu)
-    i3 = np.sum(vals * wv)
-
-    return float((i1 + i2 + i3).real)
+    s, ws = gl_nodes_weights(0.0, 0.5 * math.pi, _LEG_NODES)
+    v_hi = np.maximum(np.arcsinh(745.0 / x), A + 1e-6)
+    out = np.empty(x.shape)
+    step = max(1, _GRID_VALUES // _LEG_NODES)
+    for i in range(0, x.size, step):
+        xb, tb, Ab = x[i:i + step, None], t[i:i + step, None], A[i:i + step, None]
+        # vertical quarter-turn u = A + i s, s in [0, pi/2]
+        uu = Ab + 1j * s
+        i2 = 1j * _row_sums(np.exp(1j * xb * np.cosh(uu)) * np.cos(2.0 * tb * uu), ws)
+        # horizontal leg u = v + i pi/2: cosh -> i sinh v, pure decay
+        v, wv = gl_nodes_weights(Ab, v_hi[i:i + step, None], _LEG_NODES)
+        uu = v + 0.5j * math.pi
+        i3 = _row_sums(np.exp(-xb * np.sinh(v)) * np.cos(2.0 * tb * uu), wv)
+        out[i:i + step] = (i1[i:i + step] + i2 + i3).real
+    return out
 
 
 def maass_bessel_kernel(x: float, t: float) -> complex:
     """(J_{2it}(x) - J_{-2it}(x)) / sinh(pi t), continued to t = 0."""
-    return -4j / math.pi * _cos_cosh_kernel(x, t)
+    return -4j / math.pi * float(_cos_cosh_rows(np.array([x]), np.array([t]))[0])
 
 
-def kuznetsov_transform_tilde(phi: TransformKernel, t: float) -> complex:
+def kuznetsov_transform_tilde(phi: TransformKernel, t):
     """2 pi i int phi(x) (J_{2it} - J_{-2it})(x) / sinh(pi t) dx / x.
 
     Evaluates to 8 int phi(x) C(x,t) dx/x with the real cosine kernel C.
+    t is a number (the value is a complex number) or an array (an array of
+    values); the kernel runs over the (x, t) pairs of all outer nodes at
+    once.
     """
+    ts = np.atleast_1d(np.asarray(t, dtype=np.float64))
     lo, hi = phi.support
 
-    def integrand(x):
-        kern = np.array([_cos_cosh_kernel(float(xx), t) for xx in x])
-        return phi(x) * kern / x
+    def integrand(x, rows):
+        kern = _cos_cosh_rows(x.ravel(), np.repeat(ts[rows], x.shape[1]))
+        return phi(x) * kern.reshape(x.shape) / x
 
     cycles = phi.x_cycles() + (hi - lo) / TWO_PI  # kernel itself turns like e^(ix)
-    val = osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL)
-    return 8.0 * complex(val)
+    vals = osc_quad_rows(integrand, np.full(ts.size, lo), hi, cycles, tol=_TRANSFORM_TOL)
+    return _per_point(t, 8.0 * vals.astype(np.complex128))

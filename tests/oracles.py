@@ -25,7 +25,10 @@ The first four were the production paths of the functions they check:
 - `kloosterman_block_mod`: S(m,n;c) for a pair array by reducing
   m u + n ubar mod c on the whole (pairs x units) array;
 - `geometric_sums_rows`: the Kloosterman-Bessel sums with one Bessel call
-  per pair (the threaded map it ran through is a list comprehension here).
+  per pair (the threaded map it ran through is a list comprehension here);
+- `cos_cosh_kernel_scalar`, `w_star_point`, `dot_point` and `tilde_point`:
+  the window transforms one point at a time through `osc_quad`, the
+  Maass-side kernel one (x, t) pair at a time.
 """
 
 import functools
@@ -43,9 +46,9 @@ from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
 from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
 from cuspcorr.qseries import mul_coeffs
-from cuspcorr.quadrature import gl_nodes_weights, panel_rule
+from cuspcorr.quadrature import gl_nodes_weights, osc_quad, panel_rule
 from cuspcorr.voronoi import _CONSECUTIVE, _QUAD_TOL, _TERM_FLOOR, VoronoiInstance, _phase_table
-from cuspcorr.windows import SmoothWindow, mellin_at
+from cuspcorr.windows import _TRANSFORM_TOL, TWO_PI, SmoothWindow, TransformKernel, mellin_at
 
 _ETA_NODES = 16  # Gauss-Legendre nodes of the eta average in detect_additive_fft
 
@@ -559,3 +562,71 @@ def geometric_sums_rows(k: int, pairs: np.ndarray, kl: np.ndarray) -> np.ndarray
     for ci, c in enumerate(cs):
         sums += kl[:, ci] * jcache[:, ci] / c
     return sums
+
+
+def cos_cosh_kernel_scalar(x: float, t: float) -> float:
+    """int_0^inf cos(x cosh u) cos(2 t u) du via a bent contour (x > 0)."""
+    if x <= 0:
+        raise ContractError("kernel defined for x > 0")
+    # leg 3 becomes negligible once x sinh A >= 40 + pi |t|
+    target = (40.0 + math.pi * abs(t)) / x
+    A = math.asinh(target)
+
+    def leg1(u):
+        return np.exp(1j * x * np.cosh(u)) * np.cos(2.0 * t * u)
+
+    cycles1 = x * math.sinh(A) * A / TWO_PI + 1.0
+    i1 = osc_quad(leg1, 0.0, A, cycles=cycles1, tol=1e-12)
+
+    # vertical quarter-turn u = A + i s, s in [0, pi/2]
+    s, ws = gl_nodes_weights(0.0, 0.5 * math.pi, 48)
+    uu = A + 1j * s
+    vals = np.exp(1j * x * np.cosh(uu)) * np.cos(2.0 * t * uu)
+    i2 = 1j * np.sum(vals * ws)
+
+    # horizontal leg u = v + i pi/2: cosh -> i sinh v, pure decay
+    v_hi = math.asinh(745.0 / x)
+    v, wv = gl_nodes_weights(A, max(v_hi, A + 1e-6), 48)
+    uu = v + 0.5j * math.pi
+    vals = np.exp(-x * np.sinh(v)) * np.cos(2.0 * t * uu)
+    i3 = np.sum(vals * wv)
+
+    return float((i1 + i2 + i3).real)
+
+
+def w_star_point(window: SmoothWindow, kappa: int, z: float, w: float) -> complex:
+    """int W(y) J_(kappa-1)(4 pi sqrt(y w + z)) dy for one z (z >= 4|w| > 0)."""
+    kernel = BesselKernel.of(kappa - 1)
+    lo, hi = window.support
+
+    def integrand(y):
+        arg = 4.0 * math.pi * np.sqrt(y * w + z)
+        return window(y) * kernel.grid(arg)
+
+    cycles = abs(w) / math.sqrt(0.5 * z) * (hi - lo)
+    return complex(osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL))
+
+
+def dot_point(phi: TransformKernel, k: int) -> complex:
+    """4 i^k int phi(x) J_(k-1)(x) dx / x for one even k >= 2."""
+    kernel = BesselKernel.of(k - 1)
+    lo, hi = phi.support
+
+    def integrand(x):
+        return phi(x) * kernel.grid(x) / x
+
+    val = osc_quad(integrand, lo, hi, cycles=phi.x_cycles(), tol=_TRANSFORM_TOL)
+    return 4.0 * (1j ** k) * complex(val)
+
+
+def tilde_point(phi: TransformKernel, t: float) -> complex:
+    """8 int phi(x) C(x,t) dx/x for one t, with the scalar cosine kernel C."""
+    lo, hi = phi.support
+
+    def integrand(x):
+        kern = np.array([cos_cosh_kernel_scalar(float(xx), t) for xx in x])
+        return phi(x) * kern / x
+
+    cycles = phi.x_cycles() + (hi - lo) / TWO_PI
+    val = osc_quad(integrand, lo, hi, cycles=cycles, tol=_TRANSFORM_TOL)
+    return 8.0 * complex(val)

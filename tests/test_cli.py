@@ -122,6 +122,17 @@ def test_transform_csv(tmp_path):
                  "--grid", "2:4:2", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("option, value", [("--params", "kappa=x"), ("--grid", "a:b:c"),
+                                           ("--grid", "nan:1:3"), ("--grid", "2:inf:3")])
+def test_transform_misuse_is_one_line_exit_one(tmp_path, capsys, option, value):
+    argv = {"--params": "kappa=12,w=1", "--grid": "4:20:3"}
+    argv[option] = value
+    assert main(["transform", "--kind", "wstar", "--params", argv["--params"],
+                 "--grid", argv["--grid"], "--out", str(tmp_path / "t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_petersson_csv(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["petersson", "--weight", "12", "--mmax", "3", "--cmax", "300",

@@ -104,7 +104,7 @@ def test_mul_mod_truncation_consistency(a, b, n):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from((12, 16)), st.integers(min_value=1, max_value=3000))
 def test_modular_build_matches_recurrence_oracle(weight, N):
-    reference = list(eigenform_recurrence(weight, 3000)[:N + 1])  # built once, sliced per draw
+    reference = eigenform_recurrence(weight, 3000)[:N + 1]  # built once, sliced per draw
     saved = dict(coeffs._form_cache)
     coeffs._form_cache.clear()  # build at exactly this N, not from a larger cached table
     try:
@@ -181,3 +181,5 @@ def test_cached_lambda_table_is_read_only():
     with pytest.raises(ValueError):
         f.lam[2] = 0.0
     assert np.array_equal(make_eigenform(12, 50).lam[:51], before)
+    with pytest.raises(TypeError):
+        make_eigenform(12, 50).a[2] = 0  # the exact table is a tuple
