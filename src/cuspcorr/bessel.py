@@ -1,36 +1,37 @@
-"""J-Bessel evaluation: one vectorised evaluator over three routes.
+"""J-Bessel evaluation for integer orders: one vectorised evaluator over three routes.
 
 * power series around 0, with a running cancellation monitor;
 * Hankel large-argument asymptotics, with a smallest-term error monitor;
-* the cosine integral representation
-      J_nu(x) = (1/pi) * int_0^pi cos(nu xi - x sin xi) d xi   (minus an
-  exponential tail for non-integer nu).  For integer nu it is evaluated by
-  the trapezoid rule, which is superconvergent here because every odd
-  derivative of the integrand vanishes at both endpoints; for non-integer
-  nu that fails at pi, so both integrals take Gauss-Legendre panels.
+* Miller's backward recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started
+  beyond the turning point and normalised by J_0^2 + 2 sum J_k^2 = 1
+  (J. C. P. Miller, Bessel Functions, Part II, 1952; W. Gautschi,
+  "Computational aspects of three-term recurrence relations", SIAM Review
+  9, 1967).
 
-The integral route is uniformly accurate over the whole desk-scale range
-and acts as the arbiter; series and asymptotics are fast paths that are
-only trusted when their own error monitors say so.  The classical
+The recurrence is uniformly accurate over the whole desk-scale range and
+serves every value the fast paths may not: the arguments between their
+zones and those their own error monitors reject.  The classical
 switchover "series below max(2 nu, 20), asymptotics above" loses all
 precision for nu >= 12 (the series cancels like I_nu(x) ~ e^x near
 x = 2 nu and the Hankel expansion diverges immediately there), so zone
 boundaries here are accuracy-driven instead.
 
-`BesselKernel.grid` serves every caller, `bessel_j` included, so a value
-does not depend on how it was asked for.  The scalar routes it replaced
-are test oracles (`tests/oracles.py`).
+Orders are integers, since the holomorphic machinery needs only J_(k-1)
+for an integer weight k.  `bessel_j_orders` serves many orders at the same
+arguments, `BesselKernel.grid` is its one-order case and `bessel_j` its
+one-value case; a value does not depend on how it was asked for.  The
+routes the recurrence replaced are test oracles (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
-from .quadrature import panel_rule
+from .errors import ContractError, NumericsError
 
 _SERIES_CANCEL_LIMIT = 1e4      # max-term / result before the series is rejected
 _HANKEL_MINTERM = 1e-15         # smallest asymptotic term we must reach
@@ -45,14 +46,13 @@ def _hankel_zone(nu: float) -> float:
     return max(22.0, 0.2 * nu * nu)
 
 
-def _trapezoid_nodes(nu: float, xmax):
-    """Trapezoid intervals for arguments up to xmax (a number or an array);
-    non-integer orders take an eighth as many Gauss-Legendre panels."""
-    return np.maximum(64, (3.2 * (nu + np.asarray(xmax))).astype(np.int64) + 1)
-
-
 def _series_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ascending series; returns (values, trusted mask)."""
+    """Vectorized ascending series; returns (values, trusted mask).
+
+    Each argument stops at its own first negligible term, as
+    `oracles.j_series` does, so a value does not depend on the other
+    arguments of the call.
+    """
     vals = np.zeros_like(xs)
     ok = np.ones(xs.shape, dtype=bool)
     pos = xs > 0.0
@@ -67,16 +67,19 @@ def _series_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total = t.copy()
     largest = np.abs(t)
     q = 0.25 * x * x
+    active = live.copy()
     for m in range(1, 601):
         t = -t * q / (m * (nu + m))
         total += t
         np.maximum(largest, np.abs(t), out=largest)
-        if m > 3 and np.all(np.abs(t) < 1e-17 * np.maximum(largest, np.abs(total))):
-            break
-    trusted = largest <= _SERIES_CANCEL_LIMIT * np.maximum(np.abs(total), 1e-280)
-    vals[pos] = np.where(live, total, 0.0)
-    okx = np.where(live, trusted, True)
-    ok[pos] = okx
+        if m > 3:
+            active &= np.abs(t) >= 1e-17 * np.maximum(largest, np.abs(total))
+            if not active.any():
+                break
+            t *= active  # a stopped argument adds only zeros from here on
+    trusted = ~active & (largest <= _SERIES_CANCEL_LIMIT * np.maximum(np.abs(total), 1e-280))
+    vals[pos] = total  # 0 where the first term underflowed
+    ok[pos] = trusted
     return vals, ok
 
 
@@ -111,86 +114,107 @@ def _hankel_grid(nu: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, ok
 
 
-def _integral_grid(nu: float, xs: np.ndarray) -> np.ndarray:
-    """The cosine integral for values that share one row's node count."""
-    m = _trapezoid_nodes(nu, float(xs.max()))
-    if abs(nu - round(nu)) <= 1e-12:
-        xi = np.linspace(0.0, math.pi, m + 1)
-        f = np.cos(nu * xi[None, :] - xs[:, None] * np.sin(xi)[None, :])
-        return (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1])) / m
-    # the odd derivatives no longer vanish at pi, so the trapezoid rule would
-    # be second order only: Gauss-Legendre panels for both integrals
-    xi, w = panel_rule(0.0, math.pi, m // 8)
-    vals = np.cos(nu * xi[None, :] - xs[:, None] * np.sin(xi)[None, :]) @ w / math.pi
-    # tail int_0^inf exp(-nu t - x sinh t) dt; the integrand decays at least
-    # like exp(-(nu + x) t), so this truncation is conservative
-    upper = 50.0 / np.maximum(nu + xs, 1.0) + 5.0
-    u, wu = panel_rule(0.0, 1.0, 64)
-    t = upper[:, None] * u[None, :]
-    tail = np.exp(-nu * t - xs[:, None] * np.sinh(t)) @ wu * upper
-    return vals - math.sin(nu * math.pi) / math.pi * tail
+# Miller's start K(x).  Past the turning point J_n(x) ~ (2/x)^(1/3) Ai(z), n =
+# x + s x^(1/3), z = 2^(1/3) s, and Ai(z) <= exp(-(2/3) z^(3/2)) / (2 sqrt(pi)
+# z^(1/4)); this bound at 2^-53, with z^(1/4) at z = 14, gives s(x).  The offset
+# covers small x, where J decays more slowly than the Airy scaling: the largest
+# shortfall of x + s(x) x^(1/3) against scipy over 0 < x <= 20000 is 3.9.
+_START_LOG = 53.0 * math.log(2.0) - math.log(2.0 * math.sqrt(math.pi) * 14.0 ** 0.25)
+_START_OFFSET = 4.0
+
+
+def _miller_start(x: np.ndarray) -> np.ndarray:
+    """Even start order K(x), with |J_n(x)| <= 2^-53 for every n >= K(x)."""
+    s = (1.5 * (_START_LOG - np.log(0.5 * x) / 3.0)) ** (2.0 / 3.0) / 2.0 ** (1.0 / 3.0)
+    return 2 * np.ceil(0.5 * (x + s * np.cbrt(x) + _START_OFFSET)).astype(np.int64)
+
+
+def _miller(orders: list[int], x: np.ndarray) -> np.ndarray:
+    """J_n(x) for every n of `orders` (rows) and every x > 0 (columns).
+
+    Each argument runs down from its own seed J_K = 1, J_(K+1) = 0 at
+    K = K(x), and is exactly 0 before it, so its values do not depend on
+    the rest of the call.  Orders above K(x) are 0.
+    """
+    start = _miller_start(x)
+    seeds, wanted = set(start.tolist()), set(orders)
+    orders = np.asarray(orders)
+    out = np.zeros((orders.size, x.size))
+    f_next = np.zeros_like(x)  # J_(k+1), unnormalised
+    f = np.zeros_like(x)  # J_k
+    squares = np.zeros_like(x)  # sum of J_k^2 over k >= 1
+    evens = np.zeros_like(x)  # sum of J_k over even k >= 2
+    for k in range(int(start.max()), 0, -1):
+        if k in seeds:
+            f += start == k  # J_K = 1 where K(x) = k; f is still 0 there
+        if k in wanted:
+            out[orders == k] = f
+        squares += f * f
+        if k % 2 == 0:
+            evens += f
+        f, f_next = (2.0 * k) / x * f - f_next, f
+    out[orders == 0] = f
+    norm = 2.0 * squares + f * f
+    if not np.all(np.isfinite(norm)):
+        raise NumericsError("Miller recurrence overflowed")
+    # J_0^2 + 2 sum J_k^2 = 1 sets the scale, J_0 + 2 sum J_2k = 1 its sign
+    return out * np.copysign(1.0 / np.sqrt(norm), f + 2.0 * evens)
 
 
 @dataclass(frozen=True)
 class BesselKernel:
-    """J_nu with accuracy-driven zone boundaries."""
+    """J_nu for an integer order nu >= 0, with accuracy-driven zone boundaries."""
 
     nu: float
     series_cutoff: float
     hankel_cutoff: float
 
     @classmethod
-    def of(cls, nu: float) -> "BesselKernel":
-        if nu < 0:
-            raise ContractError("order must be >= 0")
-        return cls(nu=float(nu), series_cutoff=_series_zone(nu), hankel_cutoff=_hankel_zone(nu))
+    def of(cls, nu) -> "BesselKernel":
+        """The kernel of an integer order nu >= 0; an integral float such as
+        11.0 is accepted, any other order is a ContractError."""
+        if not (isinstance(nu, numbers.Real) and nu >= 0 and float(nu).is_integer()):
+            raise ContractError(f"order must be an integer >= 0, got {nu!r}")
+        nu = float(nu)
+        return cls(nu=nu, series_cutoff=_series_zone(nu), hankel_cutoff=_hankel_zone(nu))
 
     def grid(self, xs) -> np.ndarray:
-        """Vectorized evaluation over an array of arguments.
+        """J_nu at every argument of an array: bessel_j_orders's one-order case."""
+        return bessel_j_orders((self.nu,), xs)[0]
 
-        Each 1-D slice along the last axis is a row (a 1-D argument is one
-        row), and rows do not interact: the integral route sizes its rule
-        by each row's largest integral-route argument and serves rows of
-        equal node counts together, so a value never depends on the other
-        rows of its call.
-        """
-        arr = np.asarray(xs, dtype=np.float64)
-        flat = arr.ravel()
-        if not np.all(flat >= 0):  # NaN included
-            raise ContractError("argument must be >= 0")
-        out = np.empty_like(flat)
-        need_exact = np.zeros(flat.shape, dtype=bool)
 
-        small = flat <= self.series_cutoff
+def bessel_j_orders(orders, x) -> np.ndarray:
+    """J_n(x) for every integer order n >= 0 of `orders` and every x >= 0 of
+    an array, with shape (len(orders),) + x.shape.
+
+    Each order takes the series and Hankel values its zones and monitors
+    allow; the arguments left over for any order share one recurrence
+    sweep.  Each value equals the one-order, one-argument call bit for bit.
+    """
+    kernels = [BesselKernel.of(n) for n in np.atleast_1d(orders).tolist()]
+    arr = np.asarray(x, dtype=np.float64)
+    flat = arr.ravel()
+    if not np.all(flat >= 0):  # NaN included
+        raise ContractError("argument must be >= 0")
+    out = np.empty((len(kernels), flat.size))
+    need = np.zeros(out.shape, dtype=bool)
+    for row, kernel in enumerate(kernels):
+        small = flat <= kernel.series_cutoff
         if np.any(small):
-            vals, ok = _series_grid(self.nu, flat[small])
-            out[small] = vals
-            need_exact[small] = ~ok
-
-        large = flat >= self.hankel_cutoff
+            out[row, small], ok = _series_grid(kernel.nu, flat[small])
+            need[row, small] = ~ok
+        large = flat >= kernel.hankel_cutoff
         if np.any(large):
-            vals, ok = _hankel_grid(self.nu, flat[large])
-            out[large] = vals
-            need_exact[large] = ~ok
-
-        need_exact |= ~small & ~large
-        idx = np.nonzero(need_exact)[0]
-        if idx.size:
-            exact = flat[idx]
-            rows = idx // (arr.shape[-1] if arr.ndim else 1)
-            starts = np.flatnonzero(np.diff(rows, prepend=-1))
-            nodes = _trapezoid_nodes(self.nu, np.maximum.reduceat(exact, starts))
-            per_arg = np.repeat(nodes, np.diff(starts, append=idx.size))
-            for m in set(nodes.tolist()):
-                pick = per_arg == m
-                out[idx[pick]] = _integral_grid(self.nu, exact[pick])
-        return out.reshape(arr.shape)
+            out[row, large], ok = _hankel_grid(kernel.nu, flat[large])
+            need[row, large] = ~ok
+        need[row] |= ~small & ~large  # between the zones
+    cols = np.flatnonzero(need.any(axis=0))
+    if cols.size:
+        exact = _miller([int(kernel.nu) for kernel in kernels], flat[cols])
+        out[:, cols] = np.where(need[:, cols], exact, out[:, cols])
+    return out.reshape((len(kernels),) + arr.shape)
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """J_nu(x) for real nu >= 0, x >= 0: the grid evaluator on one value."""
+def bessel_j(nu: int, x: float) -> float:
+    """J_nu(x) for an integer order nu >= 0 and x >= 0: the grid evaluator on one value."""
     return float(BesselKernel.of(nu).grid(x))
-
-
-def bessel_j_grid(nu: float, xs) -> np.ndarray:
-    return BesselKernel.of(nu).grid(xs)

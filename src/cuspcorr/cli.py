@@ -46,16 +46,15 @@ def _build_parser() -> argparse.ArgumentParser:
     k.add_argument("--out", required=True)
 
     ci = sub.add_parser("circle", help="Farey cover and exact L2 error")
-    ci.add_argument("--Q", type=float, required=True)
-    ci.add_argument("--delta-exp", type=float, default=1.5,
-                    help="delta = Q^(-exp)")
+    ci.add_argument("--Q", required=True)
+    ci.add_argument("--delta-exp", default="1.5", help="delta = Q^(-exp)")
     ci.add_argument("--out", required=True)
 
     v = sub.add_parser("voronoi", help="two-sided summation identity check")
     v.add_argument("--weight", type=int, required=True, choices=(12, 16))
     v.add_argument("--b", type=int, required=True)
     v.add_argument("--c", type=int, required=True)
-    v.add_argument("--N", type=float, required=True)
+    v.add_argument("--N", required=True)
     v.add_argument("--out", required=True)
 
     t = sub.add_parser("transform", help="window transforms on a parameter grid")
@@ -142,11 +141,12 @@ def _cmd_kloosterman(args) -> None:
 
 
 def _cmd_circle(args) -> None:
-    delta = args.Q ** (-args.delta_exp)
-    cover = build_cover(bump_window(), args.Q, delta)
+    Q = _finite(args.Q, "--Q")
+    delta = Q ** (-_finite(args.delta_exp, "--delta-exp"))
+    cover = build_cover(bump_window(), Q, delta)
     l2, mass = sweep_measures(cover)
     row = {
-        "Q": args.Q, "delta": float(cover.delta), "Lambda": cover.Lambda,
+        "Q": Q, "delta": float(cover.delta), "Lambda": cover.Lambda,
         "intervals": cover.n_intervals, "l2_error": l2,
         "bound_ratio": l2_bound_ratio(cover, l2),
     }
@@ -155,10 +155,11 @@ def _cmd_circle(args) -> None:
 
 
 def _cmd_voronoi(args) -> None:
-    inst = voronoi_instance(args.weight, args.b, args.c, args.N)
+    N = _finite(args.N, "--N")
+    inst = voronoi_instance(args.weight, args.b, args.c, N)
     res = voronoi_check(inst)
     report = ExperimentReport(
-        config={"weight": args.weight, "b": args.b, "c": args.c, "N": args.N},
+        config={"weight": args.weight, "b": args.b, "c": args.c, "N": N},
         results={
             "lhs": res["lhs"], "rhs": res["rhs"],
             "relative_error": res["relative_error"],

@@ -276,6 +276,8 @@ def pipeline_fidelity(n: int, H: float, Hp: float | None = None, Q: float = 300.
         raise ContractError("need Q >= 10")
     hs = _h_range(H)
     h_hi = int(hs[-1])
+    if n <= h_hi:
+        raise ContractError(f"need n > {h_hi}, the largest shift, so that every n - h >= 1")
     lam1 = make_eigenform(weights[0], n + 2 * h_hi + 4).lam
     lam2 = make_eigenform(weights[1], n).lam
     wh = _WINDOW.value(hs / H)

@@ -159,6 +159,8 @@ def petersson_table(k: int, m_max: int, c_max: int = DEFAULT_CMAX) -> np.ndarray
     """P_k(m,n) for 1 <= m,n <= m_max as an array indexed [m-1, n-1]."""
     if k < 12 or k % 2:
         raise ContractError("need even weight k >= 12")
+    if m_max < 1 or c_max < 1:
+        raise ContractError("need m_max, c_max >= 1")
     return _petersson_block(k, 1, m_max, c_max)
 
 
@@ -190,8 +192,8 @@ def sieve_quadratic_form(k_max: int, M: int, c_max: int = DEFAULT_CMAX) -> np.nd
     up to k_max.  Positive semidefinite up to truncation error."""
     if k_max > 26:
         raise ContractError("k_max <= 26 (dimension <= 1 weights only)")
-    if M < 1:
-        raise ContractError("need M >= 1")
+    if M < 1 or c_max < 1:
+        raise ContractError("need M, c_max >= 1")
     size = M + 1
     total = np.zeros((size, size))
     for k in DIMENSION_ONE_WEIGHTS:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bessel import BesselKernel
+from .bessel import BesselKernel, bessel_j_orders
 from .errors import ContractError, NumericsError
 from .quadrature import _GRID_VALUES, _row_sums, gl_nodes_weights, osc_quad, osc_quad_rows
 
@@ -255,22 +255,22 @@ def kuznetsov_transform_dot(phi: TransformKernel, k):
     """4 i^k int phi(x) J_(k-1)(x) dx / x for even k >= 2.
 
     k is a number (the value is a complex number) or an array (an array of
-    values).  Every k shares one rule per refinement level, so phi(x)/x is
-    computed once per level.
+    values).  Every k shares one rule per refinement level, so phi(x)/x and
+    the Bessel values of every order come from one evaluation per level.
     """
     ks = np.atleast_1d(np.asarray(k)).tolist()
     if not all(kk >= 2 and kk % 2 == 0 for kk in ks):
         raise ContractError("holomorphic transform needs even k >= 2")
-    kernels = [BesselKernel.of(kk - 1) for kk in ks]
+    orders = [kk - 1 for kk in ks]
     lo, hi = phi.support
-    level = (0, None)  # node count of the current rule, phi(x)/x on it
+    level = (0, None, None)  # node count of the current rule, phi(x)/x and J on it
 
     def integrand(x, rows):
         nonlocal level
         nodes = x[0]  # every row has the same rule
         if level[0] != nodes.size:
-            level = (nodes.size, phi(nodes) / nodes)
-        return np.stack([level[1] * kernels[r].grid(nodes) for r in rows.tolist()])
+            level = (nodes.size, phi(nodes) / nodes, bessel_j_orders(orders, nodes))
+        return level[1] * level[2][rows]
 
     vals = osc_quad_rows(integrand, np.full(len(ks), lo), hi, phi.x_cycles(), tol=_TRANSFORM_TOL)
     return _per_point(k, np.array([4.0 * (1j ** int(kk)) * complex(v)

@@ -14,10 +14,11 @@ The first four were the production paths of the functions they check:
 - `sigma_table`: divisor power sums by a plain Python loop;
 - `eigenform_recurrence`: the weight-12 and weight-16 eigenforms from
   Ramanujan's recurrence for tau, with no FFT, CRT or eta product;
-- `j_series`, `j_hankel`, `j_integral` and `bessel_j_scalar`: J-Bessel one
-  value at a time, by the scalar routes and zone dispatch that `bessel` had
-  beside `BesselKernel.grid` (the integral's non-integer tail is the
-  second-order trapezoid, so use `j_integral` for integer orders only);
+- `j_series`, `j_hankel`, `j_integral` and `bessel_j_scalar`: J-Bessel of
+  an integer order one value at a time, by the scalar routes and zone
+  dispatch that `bessel` had beside `BesselKernel.grid`; between the zones
+  and where a monitor rejects, the cosine integral by the superconvergent
+  trapezoid rule, the route that Miller's recurrence replaced;
 - `hankel_grid_loop`: the Hankel expansion with a fresh array for every
   update of the term, the sums and the divergence mask;
 - `voronoi_rhs_sequential`: the Voronoi dual sum one term at a time, two
@@ -39,8 +40,7 @@ from operator import mul
 import numpy as np
 
 from cuspcorr.arith import _unit_inverses, euler_phi, moebius
-from cuspcorr.bessel import (_HANKEL_MINTERM, _SERIES_CANCEL_LIMIT, _UNDERFLOW_LOG, BesselKernel,
-                             _trapezoid_nodes)
+from cuspcorr.bessel import _HANKEL_MINTERM, _SERIES_CANCEL_LIMIT, _UNDERFLOW_LOG, BesselKernel
 from cuspcorr.circle import _as_sequence
 from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
@@ -372,31 +372,21 @@ def j_hankel(nu: float, x: float) -> tuple[float, bool]:
     return value, ok
 
 
-def _noninteger_tail(nu: float, x: float) -> float:
-    # int_0^inf exp(-nu t - x sinh t) dt; the integrand decays at least
-    # like exp(-(nu + x) t), so this truncation is conservative.
-    upper = 50.0 / max(nu + x, 1.0) + 5.0
-    t = np.linspace(0.0, upper, 2000)
-    g = np.exp(-nu * t - x * np.sinh(np.minimum(t, 700.0)))
-    return float(np.trapezoid(g, t))
-
-
-def j_integral(nu: float, x: float) -> float:
-    """Cosine integral representation by superconvergent trapezoid."""
+def j_integral(nu: int, x: float) -> float:
+    """J_nu(x) = (1/pi) int_0^pi cos(nu xi - x sin xi) d xi for an integer
+    order, by the trapezoid rule: superconvergent here, because every odd
+    derivative of the integrand vanishes at both endpoints."""
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    m = _trapezoid_nodes(nu, x)
+    m = max(64, int(3.2 * (nu + x)) + 1)
     xi = np.linspace(0.0, math.pi, m + 1)
     f = np.cos(nu * xi - x * np.sin(xi))
-    value = (np.sum(f) - 0.5 * (f[0] + f[-1])) / m
-    if abs(nu - round(nu)) > 1e-12:
-        value -= math.sin(nu * math.pi) / math.pi * _noninteger_tail(nu, x)
-    return float(value)
+    return float((np.sum(f) - 0.5 * (f[0] + f[-1])) / m)
 
 
 def bessel_j_scalar(nu: float, x: float) -> float:
-    """J_nu(x) one value at a time: the series or Hankel route where its zone
-    and its monitor allow, else the cosine integral."""
+    """J_nu(x) of an integer order one value at a time: the series or Hankel
+    route where its zone and its monitor allow, else the cosine integral."""
     kernel = BesselKernel.of(nu)
     if not x >= 0:  # NaN included
         raise ContractError("argument must be >= 0")

@@ -133,6 +133,32 @@ def test_transform_misuse_is_one_line_exit_one(tmp_path, capsys, option, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["circle", "--Q", "nan"], ["circle", "--Q", "inf"],
+                                  ["circle", "--Q", "25", "--delta-exp", "nan"],
+                                  ["voronoi", "--weight", "12", "--b", "1", "--c", "1",
+                                   "--N", "nan"],
+                                  ["petersson", "--weight", "12", "--mmax", "0"],
+                                  ["petersson", "--weight", "12", "--mmax", "3", "--cmax", "0"],
+                                  ["sieve", "--kmax", "26", "--M", "10", "--cmax", "0"]],
+                         ids=["circle-Q-nan", "circle-Q-inf", "circle-delta-exp-nan",
+                              "voronoi-N-nan", "petersson-mmax-0", "petersson-cmax-0",
+                              "sieve-cmax-0"])
+def test_misuse_is_one_line_exit_one(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pipeline_with_shifts_past_the_center_exits_one(tmp_path, capsys):
+    # n = 5 with H = 50 reaches n - h < 1, which read unrelated coefficients
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps({"n": 5, "H": 50}))
+    assert main(["correlate", "--kind", "pipeline", "--config", str(cfg),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_petersson_csv(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["petersson", "--weight", "12", "--mmax", "3", "--cmax", "300",

@@ -150,6 +150,15 @@ def test_ratio_check_contract():
         petersson_geometric(11, 1, 1)
 
 
+@pytest.mark.parametrize("call", [lambda: petersson_table(12, 0, 100),
+                                  lambda: petersson_table(12, 3, 0),
+                                  lambda: sieve_quadratic_form(26, 10, 0)],
+                         ids=["petersson-mmax-0", "petersson-cmax-0", "sieve-cmax-0"])
+def test_empty_ranges_are_contract_errors(call):
+    with pytest.raises(ContractError):
+        call()
+
+
 def test_positivity_of_sieve_form():
     q = sieve_quadratic_form(26, 50, CMAX)
     for seed in range(100):

@@ -10,7 +10,7 @@ from cuspcorr.windows import (SmoothWindow, TransformKernel, bump_window, dot_de
                               kuznetsov_transform_tilde, maass_bessel_kernel, mellin_at,
                               plateau_window, w_star, w_star_grid)
 from cuspcorr import windows
-from cuspcorr.bessel import bessel_j_grid
+from cuspcorr.bessel import BesselKernel
 from cuspcorr.windows import _cos_cosh_rows
 from oracles import cos_cosh_kernel_scalar, dot_point, tilde_point, w_star_point
 
@@ -47,11 +47,12 @@ def test_w_star_precondition():
 def test_w_star_against_dense_oracle():
     # 10^4-node fixed Gauss-Legendre oracle
     def oracle(z, w, kappa):
+        kernel = BesselKernel.of(kappa - 1)
         edges = np.linspace(1.0, 2.0, 157)
         total = 0.0
         for i in range(156):
             y, wq = gl_nodes_weights(edges[i], edges[i + 1], 64)
-            total += np.sum(W.value(y) * bessel_j_grid(kappa - 1, 4 * math.pi * np.sqrt(y * w + z)) * wq)
+            total += np.sum(W.value(y) * kernel.grid(4 * math.pi * np.sqrt(y * w + z)) * wq)
         return total
     for (z, w) in [(100.0, 1.0), (40.0, 10.0), (100.0, -1.0)]:
         assert complex(w_star(W, 12, z, w)).real == pytest.approx(oracle(z, w, 12), abs=1e-8)
