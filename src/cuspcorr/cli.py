@@ -96,6 +96,46 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list of integers"}
+
+
+def _typed(value, kind: type):
+    """value as an int, float or str (`kind`), or None if it is not one.
+    Integral floats count as integers, and integers as floats."""
+    if kind is str:
+        return value if isinstance(value, str) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if kind is int:
+        return value if isinstance(value, int) else int(value) if value.is_integer() else None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _config(raw: dict, key: str, kind: type, default=_REQUIRED):
+    """Config key `key` as an int, float, str or list of ints (`kind`).
+
+    A missing or null key gives `default`; a missing required key, or a
+    value of another type, is a ContractError.
+    """
+    value = raw.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ContractError(f"config needs the key {key!r}")
+        return default
+    if kind is list:
+        out = [_typed(v, int) for v in value] if isinstance(value, list) else [None]
+    else:
+        out = [_typed(value, kind)]
+    if None in out:
+        raise ContractError(f"config key {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return out if kind is list else out[0]
+
+
 def _parse_params(raw: str) -> dict:
     out = {}
     if not raw:
@@ -235,57 +275,67 @@ _CORRELATE_KEYS = {
 
 def _cmd_correlate(args) -> None:
     with open(args.config, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{args.config} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ContractError(f"{args.config} must hold a JSON object")
     allowed = _CORRELATE_KEYS[args.kind]
     unknown = set(raw) - allowed
     if unknown:
         raise ContractError(f"unknown config keys: {sorted(unknown)}")
-    seed = int(raw.get("seed", 0))
+    seed = _config(raw, "seed", int, 0)
     tables: dict = {}
     if args.kind in ("pair", "triple", "divisor"):
         cfg = ExperimentConfig(
-            X=int(raw["X"]), H=float(raw["H"]), Hp=raw.get("Hp"),
-            weights=tuple(raw.get("weights", [12, 12, 12])),
-            seq=raw.get("seq", "ones"), seed=seed,
+            X=_config(raw, "X", int), H=_config(raw, "H", float),
+            Hp=_config(raw, "Hp", float, None),
+            weights=tuple(_config(raw, "weights", list, [12, 12, 12])),
+            seq=_config(raw, "seq", str, "ones"), seed=seed,
         )
+        d_max = _config(raw, "d_max", int, 1000)
         if args.kind == "pair":
             results = shifted_pair_correlation(cfg)
         elif args.kind == "triple":
             results = triple_correlation(cfg)
         else:
-            results = divisor_main_term(cfg, int(raw.get("d_max", 1000)))
+            results = divisor_main_term(cfg, d_max)
         config = cfg.echo()
         if args.kind == "divisor":
-            config["d_max"] = int(raw.get("d_max", 1000))
+            config["d_max"] = d_max
     elif args.kind == "wilton":
-        weight = int(raw.get("weight", 12))
-        x = int(raw["x"])
-        gf = int(raw.get("grid_factor", 4))
+        weight = _config(raw, "weight", int, 12)
+        x = _config(raw, "x", int)
+        gf = _config(raw, "grid_factor", int, 4)
         form = make_eigenform(weight, x)
         results = wilton_sup(form, x, gf)
         config = {"weight": weight, "x": x, "grid_factor": gf, "seed": seed}
     elif args.kind == "gamma-star":
-        weights = tuple(raw.get("weights", [12, 12]))
-        M1, M2 = int(raw["M1"]), int(raw["M2"])
+        weights = _config(raw, "weights", list, [12, 12])
+        if len(weights) != 2:
+            raise ContractError(f"gamma-star needs exactly two weights, got {weights}")
+        M1, M2 = _config(raw, "M1", int), _config(raw, "M2", int)
+        z = _config(raw, "z", float, 0.0)
         f1 = make_eigenform(weights[0], 2 * M1 + 1)
         f2 = make_eigenform(weights[1], 2 * M2 + 1)
-        results = gamma_star_norm(f1, f2, M1, M2, float(raw.get("z", 0.0)),
-                                  float(raw.get("u1", 0.0)), float(raw.get("u2", 0.0)),
-                                  float(raw.get("u3", 0.0)))
-        config = {"weights": list(weights), "M1": M1, "M2": M2,
-                  "z": float(raw.get("z", 0.0)), "seed": seed}
+        results = gamma_star_norm(f1, f2, M1, M2, z, *(_config(raw, u, float, 0.0)
+                                                       for u in ("u1", "u2", "u3")))
+        config = {"weights": weights, "M1": M1, "M2": M2, "z": z, "seed": seed}
     elif args.kind == "pipeline":
         results = pipeline_fidelity(
-            n=int(raw["n"]), H=float(raw["H"]), Hp=raw.get("Hp"),
-            Q=float(raw.get("Q", 300)), delta=raw.get("delta"),
-            weights=tuple(raw.get("weights", [12, 12])),
+            n=_config(raw, "n", int), H=_config(raw, "H", float),
+            Hp=_config(raw, "Hp", float, None), Q=_config(raw, "Q", float, 300.0),
+            delta=_config(raw, "delta", float, None),
+            weights=tuple(_config(raw, "weights", list, [12, 12])),
         )
         config = {k: raw.get(k) for k in sorted(raw)}
     else:
         results = scaling_study(
-            X_list=[int(x) for x in raw["X_list"]], theta=float(raw["theta"]),
-            which=raw.get("which", "pair"), weights=tuple(raw.get("weights", [12, 12, 12])),
-            seq=raw.get("seq", "ones"), seed=seed,
+            X_list=_config(raw, "X_list", list), theta=_config(raw, "theta", float),
+            which=_config(raw, "which", str, "pair"),
+            weights=tuple(_config(raw, "weights", list, [12, 12, 12])),
+            seq=_config(raw, "seq", str, "ones"), seed=seed,
         )
         config = {k: raw.get(k) for k in sorted(raw)}
         tables = {"points": results.pop("rows")}
@@ -327,6 +377,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # --config or --out: a missing file or directory, no permission
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -29,14 +29,15 @@ _WINDOW = bump_window()  # the shift weight W(h/H) of every experiment
 class ExperimentConfig:
     """Shared parameters of the correlation experiments.
 
-    seq selects the test sequence a(n) on [X, 2X]: "ones", "rademacher"
-    (with `seed`), or "lambda3" (the third form's eigenvalues).
+    weights are the three forms' weights, each 12 or 16; the pair
+    correlation uses the third only through seq "lambda3".  seq selects the test sequence a(n) on [X, 2X]: "ones",
+    "rademacher" (with `seed`), or "lambda3" (the third form's eigenvalues).
     """
 
     X: int
     H: float
     Hp: float | None = None
-    weights: tuple[int, ...] = (12, 12, 12)
+    weights: tuple[int, int, int] = (12, 12, 12)
     seq: str = "ones"
     seed: int = 0
 
@@ -49,6 +50,8 @@ class ExperimentConfig:
             self.Hp = self.X / 3  # the choice that optimizes the final bound
         if not (self.H <= self.Hp <= self.X / 3 + 1e-9):
             raise ContractError("need H <= H' <= X/3")
+        if len(self.weights) != 3:
+            raise ContractError(f"need exactly three weights, got {list(self.weights)}")
         for w in self.weights:
             if w not in (12, 16):
                 raise ContractError("weights must be 12 or 16")
@@ -274,6 +277,8 @@ def pipeline_fidelity(n: int, H: float, Hp: float | None = None, Q: float = 300.
         delta = float(Q) ** -1.5
     if Q < 10:
         raise ContractError("need Q >= 10")
+    if len(weights) != 2:
+        raise ContractError(f"need exactly two weights, got {list(weights)}")
     hs = _h_range(H)
     h_hi = int(hs[-1])
     if n <= h_hi:
@@ -309,7 +314,7 @@ def pipeline_fidelity(n: int, H: float, Hp: float | None = None, Q: float = 300.
 
 
 def scaling_study(X_list: list[int], theta: float, which: str = "pair",
-                  weights: tuple[int, ...] = (12, 12, 12), seq: str = "ones",
+                  weights: tuple[int, int, int] = (12, 12, 12), seq: str = "ones",
                   seed: int = 0, lambda_override: dict | None = None) -> dict:
     """Least-squares exponent of log|sum| against log X with H = X^theta.
 
@@ -322,20 +327,19 @@ def scaling_study(X_list: list[int], theta: float, which: str = "pair",
         raise ContractError("X_list must be ascending")
     if which not in ("pair", "triple"):
         raise ContractError("which must be 'pair' or 'triple'")
+    configs = [ExperimentConfig(X=X, H=max(1.0, round(X ** theta)), weights=tuple(weights),
+                                seq=seq, seed=seed) for X in X_list]
     if lambda_override is None:  # build the largest table up front (thread safety)
         top = X_list[-1]
         for w in set(weights):
             make_eigenform(w, 2 * top + 2 * int(round(top ** theta)) + 2)
 
-    def one(X: int) -> dict:
-        H = max(1.0, round(X ** theta))
-        cfg = ExperimentConfig(X=X, H=H, weights=tuple(weights) + (12,) * (3 - len(weights)),
-                               seq=seq, seed=seed)
+    def one(cfg: ExperimentConfig) -> dict:
         res = (shifted_pair_correlation(cfg, lambda_override) if which == "pair"
                else triple_correlation(cfg, lambda_override))
-        return {"X": X, "H": H, "value": res["value"], "bound": res["bound"]}
+        return {"X": cfg.X, "H": cfg.H, "value": res["value"], "bound": res["bound"]}
 
-    rows = parallel_map(one, list(X_list))
+    rows = parallel_map(one, configs)
     logs = [(math.log(r["X"]), r["value"], r["bound"]) for r in rows]
     if any(v == 0.0 for _, v, _ in logs):
         return {"degenerate": True, "rows": rows}

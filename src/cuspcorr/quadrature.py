@@ -5,7 +5,10 @@ Panels are sized so the fastest phase is sampled at >= 8 nodes per period
 doubled until two successive refinements agree to the requested absolute
 tolerance.  Integrands are numpy-vectorized callables and may be complex.
 `osc_quad_rows` integrates many integrands at once, one per row, each row
-refined on its own; `osc_quad` is its one-row case.
+refined on its own; `osc_quad` is its one-row case.  It is the package's
+one adaptive integrator: the Mellin transform, w*, the dot and tilde
+transforms, the first contour leg and the Voronoi dual side all go through
+it.  `gl_nodes_weights` is the fixed rule of the remaining contour legs.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 from .bessel import BesselKernel
 from .coeffs import Eigenform, make_eigenform
 from .errors import ContractError, InsufficientCoefficients, NumericsError
-from .quadrature import _GRID_VALUES, panel_rule
+from .quadrature import osc_quad_rows
 from .windows import SmoothWindow, bump_window
 
 EPS0 = 1e-300
@@ -74,57 +74,23 @@ def voronoi_lhs(inst: VoronoiInstance) -> complex:
     return complex(np.sum(lam * v * phases))
 
 
-def _rule_sums(kernel: BesselKernel, V: SmoothWindow, A: np.ndarray,
-               panel_counts: list[int]) -> list[np.ndarray]:
-    """sum V(x) J_nu(A sqrt(x)) w over the panel rule of each count, for every A.
-
-    The rules share each kernel.grid call, which takes as many rows of A as
-    fit in about _GRID_VALUES arguments (at least one row).
-    """
-    rules = [panel_rule(*V.support, p) for p in panel_counts]
-    roots = np.sqrt(np.concatenate([xs for xs, _ in rules]))
-    step = max(1, _GRID_VALUES // roots.size)
-    weighted = [(V(xs), ws) for xs, ws in rules]
-    sums = [np.empty(A.size, dtype=np.result_type(v, ws)) for v, ws in weighted]
-    for i in range(0, A.size, step):
-        J = kernel.grid(A[i:i + step, None] * roots)
-        col = 0
-        for out, (v, ws) in zip(sums, weighted):
-            out[i:i + step] = np.sum(v * J[:, col:col + ws.size] * ws, axis=1)
-            col += ws.size
-    return sums
-
-
 def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: np.ndarray, tol: float) -> np.ndarray:
-    """int V(x) J_nu(A sqrt(x)) dx over supp V for each A of an ascending
-    array, with A-aware paneling.
+    """int V(x) J_nu(A sqrt(x)) dx over supp V for each A: one osc_quad_rows
+    row per A, to the absolute tolerance tol.
 
-    Each A gets max(4, ceil(cycles)) panels and one refinement at twice as
-    many as an error estimate; only the A whose two values disagree get a
-    third rule with four times as many.  Panel counts grow with A, so equal
-    counts form consecutive runs, and each run shares its rules, its window
-    values and its Bessel calls.
+    J_nu(A sqrt(x)) turns A (sqrt(hi) - sqrt(lo)) / 2 pi times across the
+    support.  Passing cycles = max(6, 2 turns), twice the phase count, gives
+    each row max(4, ceil(turns) + 1) starting panels, about one turn per
+    panel.  All rows share their nodes, so V is evaluated once per block.
     """
     A = np.asarray(A, dtype=np.float64)
-    if A.size == 0:
-        return np.zeros(0)
     lo, hi = V.support
-    cycles = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi) + 1.0
-    panels = np.maximum(4, np.ceil(cycles)).astype(np.int64)
-    edges = [0, *(np.flatnonzero(np.diff(panels)) + 1).tolist(), A.size]
-    out = []
-    for i, j in zip(edges[:-1], edges[1:]):
-        p, a = int(panels[i]), A[i:j]
-        first, second = _rule_sums(kernel, V, a, [p, 2 * p])
-        redo = np.abs(second - first) > np.maximum(tol, 1e-14 * np.abs(second))
-        if np.any(redo):
-            (third,) = _rule_sums(kernel, V, a[redo], [4 * p])
-            failed = np.abs(third - second[redo]) > np.maximum(tol, 1e-13 * np.abs(third))
-            if np.any(failed):
-                raise NumericsError(f"dual integral not converged at A={a[redo][failed][0]:g}")
-            second[redo] = third
-        out.append(second)
-    return np.concatenate(out)
+    turns = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi)
+
+    def integrand(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return V(x[0]) * kernel.grid(A[rows, None] * np.sqrt(x[0]))
+
+    return osc_quad_rows(integrand, lo, hi, np.maximum(6.0, 2.0 * turns), tol)
 
 
 def voronoi_rhs(inst: VoronoiInstance) -> tuple[complex, dict]:

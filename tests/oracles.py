@@ -14,6 +14,8 @@ The first four were the production paths of the functions they check:
 - `sigma_table`: divisor power sums by a plain Python loop;
 - `eigenform_recurrence`: the weight-12 and weight-16 eigenforms from
   Ramanujan's recurrence for tau, with no FFT, CRT or eta product;
+- `eigenform_identity_check`: the whole table against 1728 Delta =
+  E4^3 - E6^2 modulo a prime that no build uses;
 - `j_series`, `j_hankel`, `j_integral` and `bessel_j_scalar`: J-Bessel of
   an integer order one value at a time, by the scalar routes and zone
   dispatch that `bessel` had beside `BesselKernel.grid`; between the zones
@@ -45,8 +47,8 @@ from cuspcorr.circle import _as_sequence
 from cuspcorr.coeffs import Eigenform, make_eigenform
 from cuspcorr.correlations import _WINDOW, EULER_GAMMA
 from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
-from cuspcorr.qseries import mul_coeffs
-from cuspcorr.quadrature import gl_nodes_weights, osc_quad, panel_rule
+from cuspcorr.qseries import mul_coeffs, mul_mod
+from cuspcorr.quadrature import _row_sums, gl_nodes_weights, osc_quad, panel_rule
 from cuspcorr.voronoi import _CONSECUTIVE, _QUAD_TOL, _TERM_FLOOR, VoronoiInstance, _phase_table
 from cuspcorr.windows import _TRANSFORM_TOL, TWO_PI, SmoothWindow, TransformKernel, mellin_at
 
@@ -311,6 +313,46 @@ def eigenform_recurrence(weight: int, N: int) -> tuple[int, ...]:
     return (0,) + tuple(mul_coeffs(tau[1:], e4, N))
 
 
+def _sigma_mod(k: int, N: int, q: int) -> np.ndarray:
+    """sigma_k(n) mod q for n = 0..N (0 at n = 0).  Each divisor pair
+    d m = n is added once, from the loop over t = min(d, m) <= sqrt(N);
+    d^k is reduced mod q after each multiplication, so nothing overflows."""
+    base = np.arange(N + 1, dtype=np.int64) % q
+    power = np.ones(N + 1, dtype=np.int64)
+    for _ in range(k):
+        power = power * base % q
+    sigma = np.zeros(N + 1, dtype=np.int64)
+    for t in range(1, math.isqrt(N) + 1):
+        sigma[t * t::t] += power[t]  # d = t, m >= t
+        sigma[t * (t + 1)::t] += power[t + 1:N // t + 1]  # m = t, d > t
+    return sigma % q
+
+
+def eigenform_identity_check(weight: int, N: int, q: int) -> np.ndarray:
+    """The n <= N at which the cached table's a(n) breaks Ramanujan's identity
+    1728 Delta = E4^3 - E6^2 mod q (weight 16: 1728 Delta E4 = E4 (E4^3 - E6^2));
+    empty when all of a(0..N) pass.
+
+    E4 = 1 + 240 sum sigma_3(n) q^n and E6 = 1 - 504 sum sigma_5(n) q^n are
+    sieved mod q and multiplied by `mul_mod`.  Divisor sums and this product
+    chain share nothing with the build's eta product, so a wrong a(n) escapes
+    only if its error is a multiple of q; q should be a prime that no build
+    uses, such as 32,749 (every build prime lies above 2^15).
+    """
+    if weight not in (12, 16):
+        raise ContractError("weight must be 12 or 16")
+    size = N + 1
+    e4 = 240 * _sigma_mod(3, N, q) % q
+    e6 = -504 * _sigma_mod(5, N, q) % q
+    e4[0] = e6[0] = 1
+    cube = mul_mod(mul_mod(e4, e4, q, size), e4, q, size)
+    identity = (cube - mul_mod(e6, e6, q, size)) % q
+    if weight == 16:
+        identity = mul_mod(identity, e4, q, size)
+    a = np.array([x % q for x in make_eigenform(weight, N).a[:size]], dtype=np.int64)
+    return np.flatnonzero(1728 * a % q != identity)
+
+
 def j_series(nu: float, x: float) -> tuple[float, bool]:
     """Ascending series with cancellation monitor; (value, trustworthy)."""
     if x == 0.0:
@@ -441,7 +483,7 @@ def _dual_integral(kernel: BesselKernel, V: SmoothWindow, A: float, tol: float) 
 
     def integrate(n_panels: int):
         xs, ws = panel_rule(lo, hi, n_panels)
-        return np.sum(V(xs) * kernel.grid(A * np.sqrt(xs)) * ws)
+        return _row_sums(V(xs) * kernel.grid(A * np.sqrt(xs)), ws)
 
     first = integrate(panels)
     # one refinement as an error estimate

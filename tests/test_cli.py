@@ -159,6 +159,46 @@ def test_pipeline_with_shifts_past_the_center_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("kind, config", [
+    ("pair", None),  # no config file
+    ("pair", '{"X": 500,'),
+    ("pair", {"H": 40}),
+    ("pair", {"X": "abc", "H": 40}),
+    ("pair", {"X": 500, "H": 40, "Hp": "big"}),
+    ("pair", [[500, 40]]),
+    ("pair", {"X": 500, "H": 40, "weights": [12]}),
+    ("triple", {"X": 500, "H": 40, "seq": "lambda3", "weights": [12, 12]}),
+    ("gamma-star", {"M1": 40, "M2": 30, "weights": [12]}),
+    ("pipeline", {"n": 500, "H": 50, "weights": [12, 12, 12]}),
+    ("scaling", {"X_list": [1024, 2048, 4096, 8192], "theta": 0.75,
+                 "weights": [12, 12, 12, 12]}),
+], ids=["missing-file", "malformed-json", "no-X", "X-abc", "Hp-big", "not-an-object",
+        "pair-one-weight", "triple-two-weights", "gamma-star-one-weight",
+        "pipeline-three-weights", "scaling-four-weights"])
+def test_config_misuse_is_one_line_exit_one(tmp_path, capsys, kind, config):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main(["correlate", "--kind", kind, "--config", str(path),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["coeffs", "--weight", "12", "--upto", "6"],
+                                  ["correlate", "--kind", "pair", "--config", "{cfg}"]],
+                         ids=["coeffs", "correlate"])
+def test_out_in_missing_directory_exits_one(tmp_path, capsys, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"X": 500, "H": 40}))
+    out = tmp_path / "missing" / "o.txt"
+    argv = [str(cfg) if a == "{cfg}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+
+
 def test_petersson_csv(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["petersson", "--weight", "12", "--mmax", "3", "--cmax", "300",

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from cuspcorr import coeffs
 from cuspcorr.cli import main
-from cuspcorr.coeffs import (divisor_sieve, eta_power_qexp_naive, hecke_relation_report,
-                             make_eigenform, sigma3_sieve, table_primes)
+from cuspcorr.coeffs import (Eigenform, divisor_sieve, eta_power_qexp_naive,
+                             hecke_relation_report, make_eigenform, sigma3_sieve, table_primes)
 from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
 from cuspcorr.qseries import crt_lift, crt_primes, mul_coeffs, mul_mod
-from oracles import eigenform_recurrence, sigma_table
+import oracles
+from oracles import eigenform_identity_check, eigenform_recurrence, sigma_table
 
 
 def test_eta24_small_values_against_naive_product():
@@ -112,6 +113,23 @@ def test_modular_build_matches_recurrence_oracle(weight, N):
     finally:
         coeffs._form_cache.clear()
         coeffs._form_cache.update(saved)
+
+
+_SPARE_PRIME = 32_749  # the largest prime below 2^15; every build prime lies above it
+
+
+@pytest.mark.parametrize("weight", [12, 16])
+def test_table_satisfies_eisenstein_identity(weight, form12, form16):
+    assert eigenform_identity_check(weight, 100_000, _SPARE_PRIME).size == 0
+
+
+def test_eisenstein_identity_catches_one_changed_coefficient(form12, monkeypatch):
+    n = 99_991
+    a = list(form12.a)
+    a[n] += 1
+    changed = Eigenform(weight=12, a=tuple(a), lam=form12.lam)
+    monkeypatch.setattr(oracles, "make_eigenform", lambda weight, N: changed)
+    assert eigenform_identity_check(12, 100_000, _SPARE_PRIME).tolist() == [n]
 
 
 def test_table_primes_cover_deligne_bound(form12, form16):

@@ -29,7 +29,10 @@ def test_config_contracts():
     with pytest.raises(ContractError):
         ExperimentConfig(X=100, H=10.0, Hp=5.0)
     with pytest.raises(ContractError):
-        ExperimentConfig(X=100, H=10.0, weights=(14, 12))
+        ExperimentConfig(X=100, H=10.0, weights=(14, 12, 12))
+    for weights in [(12,), (12, 12), (12, 12, 12, 12)]:  # exactly three, never padded
+        with pytest.raises(ContractError):
+            ExperimentConfig(X=100, H=10.0, weights=weights)
 
 
 def test_h_window_degenerate_edges():
@@ -49,7 +52,7 @@ def test_pair_zero_sequence():
 
 
 def test_pair_against_reordered_loop(form12):
-    cfg = ExperimentConfig(X=20, H=6.0, weights=(12, 12), seq="ones")
+    cfg = ExperimentConfig(X=20, H=6.0, seq="ones")
     r = shifted_pair_correlation(cfg)
     W = bump_window()
     acc = math.fsum(

@@ -1,9 +1,16 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cuspcorr import voronoi
+from cuspcorr.bessel import BesselKernel
 from cuspcorr.coeffs import Eigenform, make_eigenform
-from cuspcorr.errors import ContractError, InsufficientCoefficients
-from cuspcorr.voronoi import VoronoiInstance, voronoi_check, voronoi_instance, voronoi_lhs, voronoi_rhs
+from cuspcorr.errors import ContractError, InsufficientCoefficients, NumericsError
+from cuspcorr.quadrature import GL_ORDER, osc_quad_rows
+from cuspcorr.voronoi import (VoronoiInstance, _dual_integral, voronoi_check, voronoi_instance,
+                              voronoi_lhs, voronoi_rhs)
 from cuspcorr.windows import SmoothWindow, bump_window
 from oracles import voronoi_rhs_sequential
 
@@ -63,13 +70,41 @@ def test_custom_form_insufficient_raises():
 
 def test_dual_term_small_argument_scaling():
     # below the oscillatory regime the dual integral scales like A^(kappa-1)
-    from cuspcorr.bessel import BesselKernel
-    from cuspcorr.voronoi import _dual_integral
     kern = BesselKernel.of(11)
     W = bump_window()
     i1, i2 = _dual_integral(kern, W, np.array([0.02, 0.04]), 1e-12)
     ratio = abs(i2) / abs(i1)
     assert ratio == pytest.approx(2 ** 11, rel=0.02)
+
+
+def test_dual_integral_not_converged_raises():
+    # a zero tolerance is never met, so every row runs out of doublings
+    with pytest.raises(NumericsError):
+        _dual_integral(BesselKernel.of(11), bump_window(), np.array([50.0, 400.0]), 0.0)
+
+
+def test_dual_integral_start_panels(monkeypatch):
+    # each A starts from max(4, ceil(turns + 1)) panels, turns being the phase
+    # turns of J(A sqrt(x)) across the support, as the oracle's p, 2p, 4p scan does
+    first = {}
+
+    def recording(f, *args):
+        def g(x, rows):
+            for i in rows.tolist():
+                first.setdefault(i, x.shape[1] // GL_ORDER)
+            return f(x, rows)
+        return osc_quad_rows(g, *args)
+
+    monkeypatch.setattr(voronoi, "osc_quad_rows", recording)
+    zero = SimpleNamespace(grid=np.zeros_like)  # converges at the first doubling
+    W = bump_window()
+    lo, hi = W.support
+    dual_sum_A = 4.0 * math.pi * np.sqrt(np.arange(1, 400) * 200.0)  # N = 200, c = 1
+    A = np.concatenate([np.linspace(0.0, 2000.0, 801), dual_sum_A])
+    _dual_integral(zero, W, A, 1e-11)
+    turns = A * (math.sqrt(hi) - math.sqrt(lo)) / (2.0 * math.pi)
+    scan_start = np.maximum(4, np.ceil(turns + 1.0)).astype(int)
+    assert [first[i] for i in range(A.size)] == scan_start.tolist()
 
 
 @pytest.mark.parametrize("weight", [12, 16])
@@ -85,8 +120,9 @@ def test_batched_rhs_matches_sequential_oracle(weight, b, c):
 
 @pytest.mark.parametrize("weight", [12, 16])
 def test_batched_rhs_near_sequential_oracle_small_N(weight):
-    # at N = 50 many J values fall in the integral zone; its trapezoid rule
-    # is sized per grid row, so batching the rows leaves every bit in place
+    # at N = 50 many J values fall between the series and Hankel zones, where
+    # Miller's recurrence serves them; each value is independent of the rest
+    # of its call, so batching the rows leaves every bit in place
     inst = voronoi_instance(weight, 2, 5, 50.0)
     val, diag = voronoi_rhs(inst)
     ref, ref_diag = voronoi_rhs_sequential(inst)
